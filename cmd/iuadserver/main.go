@@ -93,7 +93,7 @@ func main() {
 		synthetic  = flag.Bool("synthetic", false, "fit a small synthetic corpus when no snapshot/corpus is given (demo/smoke)")
 		journalDir = flag.String("journal", "", "write-ahead journal directory: crash-safe continuous durability (mutually exclusive with -snapshot)")
 		fsyncMode  = flag.String("fsync", "percommit", "journal fsync policy: percommit (power-loss safe), grouped, or off (SIGKILL-safe only)")
-		compactN   = flag.Int("compact-every", 0, "journaled batches between base-snapshot compactions (0 = default 64, negative = never)")
+		compactN   = flag.Int("compact-every", 0, "base-snapshot compaction trigger: 0 = when the journal reaches 1/8 of the base's bytes (default), N > 0 = every N journaled batches, negative = never")
 		ingestQ    = flag.Int("ingest-queue", 0, "ingest admission bound in papers; past it POST /v1/papers answers 429 (0 = default 1024)")
 		readTO     = flag.Duration("read-timeout", 30*time.Second, "per-request read deadline (http.Server.ReadTimeout; 0 = unlimited)")
 		writeTO    = flag.Duration("write-timeout", 60*time.Second, "per-request write deadline (http.Server.WriteTimeout; covers slow ingests; 0 = unlimited)")

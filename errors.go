@@ -58,9 +58,39 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return wal.ParsePolicy(s)
 // restart can run without a corpus.
 func JournalBasePath(dir string) string { return wal.BaseSnapshotPath(dir) }
 
-// JournalStats is the journal's accounting, served by
-// Service.JournalStats and the HTTP /metrics endpoint.
-type JournalStats = wal.Stats
+// JournalStats is the journal's accounting plus the compaction status,
+// one flat JSON object; served by Service.JournalStats and the HTTP
+// /metrics endpoint.
+type JournalStats struct {
+	wal.Stats
+	CompactionStatus
+}
+
+// CompactionStatus is where base compaction stands (Service.Compaction;
+// /healthz serves it as "compaction").
+type CompactionStatus struct {
+	// BytesSinceBase is the journal bytes a recovery would replay on top
+	// of the base; the default trigger fires at 1/8 of the base's bytes.
+	BytesSinceBase int64 `json:"bytes_since_base"`
+	InFlight       bool  `json:"compaction_in_flight"`
+	// Failures counts compactions that returned an error (the trigger
+	// stays armed, so the next commit retries); LastError is the most
+	// recent one.
+	Failures  int64             `json:"compaction_failures"`
+	LastError string            `json:"last_compaction_error,omitempty"`
+	Last      *CompactionReport `json:"last_compaction,omitempty"`
+}
+
+// CompactionReport describes one completed base compaction.
+type CompactionReport struct {
+	Epoch      uint64  `json:"epoch"` // the epoch the base was written at
+	DurationMs float64 `json:"duration_ms"`
+	// LockHeldUs is how long the service's write lock was held (pin the
+	// epoch, cut the journal); the rest of DurationMs ran beside commits.
+	LockHeldUs          float64 `json:"lock_held_us"`
+	BaseBytes           int64   `json:"base_bytes"`
+	JournalBytesAtStart int64   `json:"journal_bytes_at_start"`
+}
 
 // ReplayReport summarizes a journal recovery (what was replayed, what
 // a crash tore off); served by Service.JournalRecovery and /healthz.

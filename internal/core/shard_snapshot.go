@@ -142,19 +142,42 @@ func isSegmentFileName(base, name string) bool {
 // shardSegment is one shard's bucketed slice of the GCN, in the
 // deterministic save order.
 type shardSegment struct {
-	verts []int    // global vertex IDs, ascending
-	edges [][2]int // (lo,hi) keys, sorted
-	slots []Slot   // sorted (paper, index)
+	verts []int     // global vertex IDs, ascending
+	edges [][2]int  // (lo,hi) keys, sorted
+	slots []segSlot // sorted (paper, index)
 
 	name string
 	buf  bytes.Buffer
 	sum  uint64
 }
 
+// gcnRows reads the per-vertex and per-edge rows a segment carries: off
+// the live network (the reference path below) or off a pinned View
+// (view_snapshot.go).
+type gcnRows interface {
+	vertexRow(id int) (nameID intern.ID, isolated bool, papers []bib.PaperID)
+	// edgePapers returns the papers of edge (u,v), u < v. buf is scratch
+	// an implementation may fill and return.
+	edgePapers(u, v int, buf []bib.PaperID) []bib.PaperID
+}
+
+func (n *Network) vertexRow(id int) (intern.ID, bool, []bib.PaperID) {
+	v := &n.Verts[id]
+	return v.NameID, v.Isolated, v.Papers
+}
+
+func (n *Network) edgePapers(u, v int, _ []bib.PaperID) []bib.PaperID {
+	return n.EdgePapers[[2]int{u, v}]
+}
+
 // SaveShardedService writes the composite snapshot to path: one
 // segment per seed (the runtime shard count), encoded and persisted in
 // parallel, then the manifest as the commit point. seeds carries the
 // per-shard serving counters (ViewPublisher.ShardSeeds after Sync).
+//
+// This is the map-walking reference writer: a live Service saves
+// through ViewPublisher.Pin instead, whose output is pinned
+// byte-identical to this one.
 func SaveShardedService(path string, pl *Pipeline, epoch uint64, seeds []ShardSeed) error {
 	if pl == nil || pl.GCN == nil || pl.SCN == nil {
 		return fmt.Errorf("core: SaveShardedService before BuildGCN")
@@ -167,7 +190,6 @@ func SaveShardedService(path string, pl *Pipeline, epoch uint64, seeds []ShardSe
 		return fmt.Errorf("core: %d shards exceeds MaxShards=%d", n, MaxShards)
 	}
 	gcn := pl.GCN
-	dir, base := filepath.Dir(path), filepath.Base(path)
 
 	// Bucket the GCN by owning shard, in the legacy encode orders.
 	segs := make([]shardSegment, n)
@@ -213,8 +235,18 @@ func SaveShardedService(path string, pl *Pipeline, epoch uint64, seeds []ShardSe
 			continue
 		}
 		sh := ShardOfName(gcn.Verts[v].Name, n)
-		segs[sh].slots = append(segs[sh].slots, s)
+		segs[sh].slots = append(segs[sh].slots, segSlot{slot: s, vert: v})
 	}
+	return writeComposite(path, pl, epoch, seeds, len(gcn.Verts), segs, dead, gcn, liveBody(pl, false))
+}
+
+// writeComposite persists bucketed segments and then the manifest —
+// the part of a composite save that does not depend on where the GCN
+// rows come from. total is the vertex count (dead ones included).
+func writeComposite(path string, pl *Pipeline, epoch uint64, seeds []ShardSeed, total int,
+	segs []shardSegment, dead []int, rows gcnRows, body bodyParts) error {
+	n := len(segs)
+	dir, base := filepath.Dir(path), filepath.Base(path)
 
 	// Encode and persist every segment in parallel (temp+fsync+rename
 	// each), before the manifest commit.
@@ -230,23 +262,25 @@ func SaveShardedService(path string, pl *Pipeline, epoch uint64, seeds []ShardSe
 			sw.Int(n)
 			sw.Int(len(seg.verts))
 			for _, id := range seg.verts {
-				v := &gcn.Verts[id]
+				nameID, iso, papers := rows.vertexRow(id)
 				sw.Varint(int64(id))
-				sw.Varint(int64(v.NameID))
-				sw.Bool(v.Isolated)
-				encodePaperIDs(sw, v.Papers)
+				sw.Varint(int64(nameID))
+				sw.Bool(iso)
+				encodePaperIDs(sw, papers)
 			}
 			sw.Int(len(seg.edges))
+			var buf []bib.PaperID
 			for _, key := range seg.edges {
 				sw.Int(key[0])
 				sw.Int(key[1])
-				encodePaperIDs(sw, gcn.EdgePapers[key])
+				buf = rows.edgePapers(key[0], key[1], buf[:0])
+				encodePaperIDs(sw, buf)
 			}
 			sw.Int(len(seg.slots))
 			for _, s := range seg.slots {
-				sw.Varint(int64(s.Paper))
-				sw.Int(s.Index)
-				sw.Int(gcn.SlotVertex[s])
+				sw.Varint(int64(s.slot.Paper))
+				sw.Int(s.slot.Index)
+				sw.Int(s.vert)
 			}
 			if err := sw.Close(); err != nil {
 				errs[sh] = err
@@ -275,7 +309,7 @@ func SaveShardedService(path string, pl *Pipeline, epoch uint64, seeds []ShardSe
 		sw := snapshot.NewWriter(w, ShardedServiceSnapshotVersion)
 		sw.Uvarint(epoch)
 		sw.Int(n)
-		sw.Int(len(gcn.Verts))
+		sw.Int(total)
 		for sh := range segs {
 			sw.Uvarint(seeds[sh].Epoch)
 			sw.Uvarint(seeds[sh].Publishes)
@@ -286,7 +320,7 @@ func SaveShardedService(path string, pl *Pipeline, epoch uint64, seeds []ShardSe
 			sw.Uvarint(segs[sh].sum)
 		}
 		sw.Ints(dead)
-		if err := encodePipelineBody(sw, pl, false); err != nil {
+		if err := encodePipelineBody(sw, pl, body); err != nil {
 			return err
 		}
 		return sw.Close()

@@ -45,7 +45,7 @@ func SavePipeline(w io.Writer, pl *Pipeline) error {
 		return fmt.Errorf("core: pipeline carries dead vertices from a partial recovery; only the sharded snapshot format can save it")
 	}
 	sw := snapshot.NewWriter(w, SnapshotVersion)
-	if err := encodePipelineBody(sw, pl, true); err != nil {
+	if err := encodePipelineBody(sw, pl, liveBody(pl, true)); err != nil {
 		return err
 	}
 	return sw.Close()
@@ -79,7 +79,7 @@ func SaveService(w io.Writer, pl *Pipeline, epoch uint64) error {
 	}
 	sw := snapshot.NewWriter(w, ServiceSnapshotVersion)
 	sw.Uvarint(epoch)
-	if err := encodePipelineBody(sw, pl, true); err != nil {
+	if err := encodePipelineBody(sw, pl, liveBody(pl, true)); err != nil {
 		return err
 	}
 	return sw.Close()
@@ -103,12 +103,35 @@ func LoadService(r io.Reader) (*Pipeline, uint64, error) {
 	return pl, epoch, nil
 }
 
-// encodePipelineBody writes the pipeline payload shared by pipeline-
-// and service-level snapshots onto an already-opened writer. withGCN
+// bodyParts is the part of a pipeline body that ingest keeps growing:
+// the three intern-table tails, the incremental stream and the GCN.
+// The reference writers read them off the live pipeline (liveBody); the
+// pinned-view writer (view_snapshot.go) passes the length-bounded
+// headers it pinned under the service's write lock. Everything else in
+// the body is immutable once the fit is done.
+type bodyParts struct {
+	tails [3][]string // name, venue, word: symbols interned after Freeze
+	extra []bib.Paper
+	gcn   func(*snapshot.Writer) // nil: the composite format keeps the GCN in segment files
+}
+
+// liveBody reads the growing parts off the pipeline itself. withGCN
 // selects the legacy layout (GCN inline, byte-stable for the v1/v1001
-// formats); the sharded composite format passes false and stores the
-// GCN in per-shard segment files instead.
-func encodePipelineBody(sw *snapshot.Writer, pl *Pipeline, withGCN bool) error {
+// formats); the sharded composite format passes false.
+func liveBody(pl *Pipeline, withGCN bool) bodyParts {
+	b := bodyParts{
+		tails: [3][]string{pl.Corpus.NameTable().Tail(), pl.Corpus.VenueTable().Tail(), pl.Corpus.WordTable().Tail()},
+		extra: pl.extra,
+	}
+	if withGCN {
+		b.gcn = func(sw *snapshot.Writer) { encodeNetwork(sw, pl.GCN) }
+	}
+	return b
+}
+
+// encodePipelineBody writes the pipeline payload shared by pipeline-
+// and service-level snapshots onto an already-opened writer.
+func encodePipelineBody(sw *snapshot.Writer, pl *Pipeline, b bodyParts) error {
 	cfgJSON, err := json.Marshal(&pl.Cfg)
 	if err != nil {
 		return fmt.Errorf("core: marshal config: %w", err)
@@ -118,17 +141,17 @@ func encodePipelineBody(sw *snapshot.Writer, pl *Pipeline, withGCN bool) error {
 	pl.Corpus.EncodeSnapshot(sw)
 	// Symbols interned after Freeze (incremental stream); replaying them
 	// in order on load reproduces identical IDs.
-	sw.Strings(pl.Corpus.NameTable().Tail())
-	sw.Strings(pl.Corpus.VenueTable().Tail())
-	sw.Strings(pl.Corpus.WordTable().Tail())
+	for _, tail := range b.tails {
+		sw.Strings(tail)
+	}
 
 	sw.Bool(pl.Emb != nil)
 	if pl.Emb != nil {
 		pl.Emb.EncodeSnapshot(sw)
 	}
 	encodeNetwork(sw, pl.SCN)
-	if withGCN {
-		encodeNetwork(sw, pl.GCN)
+	if b.gcn != nil {
+		b.gcn(sw)
 	}
 	sw.Bool(pl.Model != nil)
 	if pl.Model != nil {
@@ -149,9 +172,9 @@ func encodePipelineBody(sw *snapshot.Writer, pl *Pipeline, withGCN bool) error {
 		sw.Int(fm[1])
 	}
 
-	sw.Int(len(pl.extra))
-	for i := range pl.extra {
-		bib.EncodePaperSnapshot(sw, &pl.extra[i])
+	sw.Int(len(b.extra))
+	for i := range b.extra {
+		bib.EncodePaperSnapshot(sw, &b.extra[i])
 	}
 	return sw.Err()
 }

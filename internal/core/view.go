@@ -7,6 +7,7 @@ import (
 
 	"iuad/internal/bib"
 	"iuad/internal/faultinject"
+	"iuad/internal/intern"
 )
 
 // This file implements the published read-model behind the serving API
@@ -124,6 +125,10 @@ type View struct {
 	slotVert []int32 // assigned vertex per slot (append-only shared)
 
 	names []string // per-vertex author name (append-only shared)
+	// nameIDs/isolated are the per-vertex columns only the base-snapshot
+	// encoder reads (append-only shared; immutable once a vertex exists).
+	nameIDs  []intern.ID
+	isolated []bool
 	// vertShard/vertRank route a global vertex ID to its owning shard
 	// and its dense index there (append-only shared).
 	vertShard []uint8
@@ -314,6 +319,8 @@ type PublishCapture struct {
 	slotOff   []int32
 	slotVert  []int32
 	names     []string
+	nameIDs   []intern.ID
+	isolated  []bool
 	vertShard []uint8
 	vertRank  []int32
 
@@ -339,6 +346,8 @@ type ViewPublisher struct {
 	slotOff   []int32
 	slotVert  []int32
 	names     []string
+	nameIDs   []intern.ID
+	isolated  []bool
 	vertShard []uint8
 	vertRank  []int32
 
@@ -404,6 +413,8 @@ func NewShardedViewPublisher(pl *Pipeline, epoch uint64, shards int, seeds []Sha
 	// keep their global ID and rank but are invisible to the name
 	// index and the query surface.
 	vp.names = make([]string, nVerts)
+	vp.nameIDs = make([]intern.ID, nVerts)
+	vp.isolated = make([]bool, nVerts)
 	vp.vertShard = make([]uint8, nVerts)
 	vp.vertRank = make([]int32, nVerts)
 	for i := 0; i < nVerts; i++ {
@@ -414,6 +425,8 @@ func NewShardedViewPublisher(pl *Pipeline, epoch uint64, shards int, seeds []Sha
 		}
 		sh := ShardOfName(name, n)
 		vp.names[i] = name
+		vp.nameIDs[i] = vert.NameID
+		vp.isolated[i] = vert.Isolated
 		vp.vertShard[i] = uint8(sh)
 		vp.vertRank[i] = int32(vp.shards[sh].authors)
 		vp.shards[sh].authors++
@@ -470,6 +483,8 @@ func NewShardedViewPublisher(pl *Pipeline, epoch uint64, shards int, seeds []Sha
 		slotOff:   vp.slotOff,
 		slotVert:  vp.slotVert,
 		names:     vp.names,
+		nameIDs:   vp.nameIDs,
+		isolated:  vp.isolated,
 		vertShard: vp.vertShard,
 		vertRank:  vp.vertRank,
 		shards:    views,
@@ -536,6 +551,8 @@ func (vp *ViewPublisher) Capture(batches [][]Assignment) *PublishCapture {
 		sh := ShardOfName(name, vp.n)
 		ps := &vp.shards[sh]
 		vp.names = append(vp.names, name)
+		vp.nameIDs = append(vp.nameIDs, gcn.Verts[i].NameID)
+		vp.isolated = append(vp.isolated, gcn.Verts[i].Isolated)
 		vp.vertShard = append(vp.vertShard, uint8(sh))
 		vp.vertRank = append(vp.vertRank, int32(ps.authors))
 		ps.authors++
@@ -589,6 +606,8 @@ func (vp *ViewPublisher) Capture(batches [][]Assignment) *PublishCapture {
 	c.slotOff = vp.slotOff
 	c.slotVert = vp.slotVert
 	c.names = vp.names
+	c.nameIDs = vp.nameIDs
+	c.isolated = vp.isolated
 	c.vertShard = vp.vertShard
 	c.vertRank = vp.vertRank
 	return c
@@ -701,6 +720,8 @@ func (vp *ViewPublisher) assemble(c *PublishCapture, built []*shardView) *View {
 		slotOff:   c.slotOff,
 		slotVert:  c.slotVert,
 		names:     c.names,
+		nameIDs:   c.nameIDs,
+		isolated:  c.isolated,
 		vertShard: c.vertShard,
 		vertRank:  c.vertRank,
 		shards:    shards,

@@ -15,7 +15,9 @@
 // backoff hint. Clients branch on the code, never on the message.
 //
 // Liveness: /healthz reports {"status":"ok","epoch":N} with the
-// journal recovery report when there is one, answers 503 while the
+// journal recovery report and the compaction status (journal bytes on
+// top of the base, failures, the last compaction's lock hold and
+// duration) when the service is journaled, answers 503 while the
 // service is still opening (journal replay in progress — see
 // NewPending/Attach) or after Close, and is deliberately EXEMPT from
 // the per-endpoint latency accounting: health probes must not skew
@@ -164,15 +166,51 @@ func (s *Server) Metrics() Metrics {
 }
 
 // statusRecorder captures the response status for the accounting
-// middleware.
+// middleware and runs the accounting before the first body byte is
+// handed to the client: a caller that reads /metrics right after a
+// response must find that request counted. (writeJSON hands the whole
+// encoded body over in one Write, so the latency still covers the
+// encode.)
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
+
+	srv       *Server
+	name      string // logical endpoint
+	t0        time.Time
+	accounted bool
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
 	r.status = code
 	r.ResponseWriter.WriteHeader(code)
+}
+
+func (r *statusRecorder) Write(b []byte) (int, error) {
+	r.account()
+	return r.ResponseWriter.Write(b)
+}
+
+// account records the request's latency and status class, once.
+func (r *statusRecorder) account() {
+	if r.accounted {
+		return
+	}
+	r.accounted = true
+	s := r.srv
+	s.latency[r.name].RecordSince(r.t0)
+	s.requests.Add(1)
+	switch {
+	case r.status == http.StatusTooManyRequests:
+		s.status429.Add(1)
+		s.status4xx.Add(1)
+	case r.status >= 500:
+		s.status5xx.Add(1)
+	case r.status >= 400:
+		s.status4xx.Add(1)
+	default:
+		s.status2xx.Add(1)
+	}
 }
 
 // routes builds the attached-state route table over svc. /healthz is
@@ -197,6 +235,9 @@ func (s *Server) routes(svc *iuad.Service) *http.ServeMux {
 		resp := map[string]any{"status": "ok", "epoch": svc.Epoch()}
 		if rec := svc.JournalRecovery(); rec != nil {
 			resp["recovery"] = rec
+		}
+		if c := svc.Compaction(); c != nil {
+			resp["compaction"] = c
 		}
 		writeJSON(w, http.StatusOK, resp)
 	})
@@ -335,22 +376,9 @@ func (s *Server) routes(svc *iuad.Service) *http.ServeMux {
 // measured wraps one dynamic-path request with the same accounting
 // handle applies to fixed patterns.
 func (s *Server) measured(name string, w http.ResponseWriter, r *http.Request, fn http.HandlerFunc) {
-	t0 := time.Now()
-	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK, srv: s, name: name, t0: time.Now()}
 	fn(rec, r)
-	s.latency[name].RecordSince(t0)
-	s.requests.Add(1)
-	switch {
-	case rec.status == http.StatusTooManyRequests:
-		s.status429.Add(1)
-		s.status4xx.Add(1)
-	case rec.status >= 500:
-		s.status5xx.Add(1)
-	case rec.status >= 400:
-		s.status4xx.Add(1)
-	default:
-		s.status2xx.Add(1)
-	}
+	rec.account() // a handler that wrote no body
 }
 
 // paperIn is the wire form of a bibliographic record.

@@ -436,6 +436,40 @@ func TestHealthzExemptFromAccounting(t *testing.T) {
 	}
 }
 
+// probeWriter runs onWrite before the first body byte is accepted: the
+// earliest moment a client could act on the response.
+type probeWriter struct {
+	*httptest.ResponseRecorder
+	onWrite func()
+}
+
+func (p *probeWriter) Write(b []byte) (int, error) {
+	if p.onWrite != nil {
+		p.onWrite()
+		p.onWrite = nil
+	}
+	return p.ResponseRecorder.Write(b)
+}
+
+// TestRequestAccountedBeforeBodyReleased: by the time any byte of a
+// response can reach the client, the request is already in /metrics —
+// a client that reads /metrics right after an answer cannot miss it.
+func TestRequestAccountedBeforeBodyReleased(t *testing.T) {
+	api := httpapi.New(testService(t))
+	var atWrite httpapi.Metrics
+	w := &probeWriter{ResponseRecorder: httptest.NewRecorder(), onWrite: func() { atWrite = api.Metrics() }}
+	api.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	if w.Code != 200 {
+		t.Fatalf("status %d", w.Code)
+	}
+	if atWrite.HTTP.Requests != 1 || atWrite.HTTP.Status2xx != 1 || atWrite.HTTP.Endpoints["stats"].Count != 1 {
+		t.Fatalf("accounting at first body write: %+v", atWrite.HTTP)
+	}
+	if m := api.Metrics(); m.HTTP.Requests != 1 {
+		t.Fatalf("request counted %d times", m.HTTP.Requests)
+	}
+}
+
 // TestJournaledHealthAndMetrics opens a journaled service and checks
 // /healthz carries the recovery report shape and /metrics the journal
 // section, and that a journal append fault surfaces as a 500 with the
@@ -477,6 +511,58 @@ func TestJournaledHealthAndMetrics(t *testing.T) {
 	resp.Body.Close()
 	if m.Journal == nil || m.Journal.Dir != dir {
 		t.Fatalf("metrics journal section %+v, want stats for %s", m.Journal, dir)
+	}
+
+	// The first commit on a fresh directory compacts (no base yet); the
+	// compaction's report then shows in both documents, next to the
+	// fields that were always there.
+	resp, err = http.Post(srv.URL+"/v1/papers", "application/json",
+		strings.NewReader(`{"title":"First","authors":["Journal First"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	var doc struct {
+		Journal map[string]json.RawMessage `json:"journal"`
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		resp, err = http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&doc)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := doc.Journal["last_compaction"]; ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("first commit never compacted: %s", doc.Journal)
+		}
+	}
+	for _, key := range []string{"rotations", "fsyncs", "appended_bytes", "segment_bytes", "batches_since_rotate",
+		"bytes_since_base", "compaction_in_flight", "compaction_failures", "last_compaction"} {
+		if _, ok := doc.Journal[key]; !ok {
+			t.Fatalf("metrics journal section lacks %q: %s", key, doc.Journal)
+		}
+	}
+	var healthz struct {
+		Compaction *iuad.CompactionStatus `json:"compaction"`
+	}
+	resp, err = http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&healthz)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := healthz.Compaction; c == nil || c.Last == nil || c.Last.Epoch != 1 || c.Last.BaseBytes <= 0 ||
+		c.Last.DurationMs <= 0 || c.Last.LockHeldUs <= 0 || c.Failures != 0 {
+		t.Fatalf("healthz compaction %+v", c)
 	}
 
 	epochBefore := svc.Epoch()

@@ -31,16 +31,20 @@ type ReplayReport struct {
 	TruncatedTail   bool   `json:"truncated_tail,omitempty"`
 	TruncatedPath   string `json:"truncated_path,omitempty"`
 	TruncatedOffset int64  `json:"truncated_offset,omitempty"`
-	// StaleRemoved counts segments keyed to an older base epoch that
-	// were garbage-collected (a crash between base save and rotate
-	// leaves them behind; their batches are contained in the base).
+	// StaleRemoved counts segments keyed below the base epoch that
+	// were garbage-collected (a crash between the base rename and
+	// Retire leaves them behind; their batches are contained in the
+	// base).
 	StaleRemoved int   `json:"stale_removed,omitempty"`
 	WallNs       int64 `json:"wall_ns"`
 }
 
-// Recover binds the journal to the base snapshot's epoch and replays
-// every surviving record on top of it, in generation order, feeding
-// each batch to apply.
+// Recover binds the journal to the base snapshot's epoch: it deletes
+// the segments keyed below it (fully contained in the base) and
+// replays every record of the rest on top of it, in (key, generation)
+// order, feeding each batch to apply. Segments keyed above the base
+// epoch are the tail of a compaction whose base never became durable;
+// they chain onto the older segments under the same contiguity check.
 //
 // Verification rules (DESIGN.md §14):
 //
@@ -52,10 +56,8 @@ type ReplayReport struct {
 //   - any other failure is a *CorruptError naming the segment and
 //     byte offset: an interior batch cannot be dropped silently.
 //
-// Segments keyed to a different base epoch are garbage-collected:
-// they predate the loaded base snapshot and are fully contained in
-// it. After Recover the journal appends into a fresh generation, so
-// a previously-truncated tail can never be appended into.
+// After Recover the journal appends into a fresh generation, so a
+// previously-truncated tail can never be appended into.
 func (j *Journal) Recover(baseEpoch uint64, apply Apply) (*ReplayReport, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -71,27 +73,35 @@ func (j *Journal) Recover(baseEpoch uint64, apply Apply) (*ReplayReport, error) 
 		return nil, err
 	}
 	type seg struct {
-		gen  uint64
-		path string
+		key, gen uint64
+		path     string
 	}
 	var segs []seg
 	var stale []string
-	maxGen := uint64(0)
+	maxGen, maxKey := uint64(0), baseEpoch
 	for _, e := range ents {
-		base, gen, ok := parseSegmentName(e.Name())
+		key, gen, ok := parseSegmentName(e.Name())
 		if !ok {
 			continue
 		}
 		if gen > maxGen {
 			maxGen = gen
 		}
-		if base == baseEpoch {
-			segs = append(segs, seg{gen, filepath.Join(j.dir, e.Name())})
+		if key > maxKey {
+			maxKey = key
+		}
+		if key >= baseEpoch {
+			segs = append(segs, seg{key, gen, filepath.Join(j.dir, e.Name())})
 		} else {
 			stale = append(stale, filepath.Join(j.dir, e.Name()))
 		}
 	}
-	sort.Slice(segs, func(a, b int) bool { return segs[a].gen < segs[b].gen })
+	sort.Slice(segs, func(a, b int) bool {
+		if segs[a].key != segs[b].key {
+			return segs[a].key < segs[b].key
+		}
+		return segs[a].gen < segs[b].gen
+	})
 	rep := &ReplayReport{BaseEpoch: baseEpoch}
 	next := baseEpoch + 1
 	for i, sg := range segs {
@@ -109,6 +119,7 @@ func (j *Journal) Recover(baseEpoch uint64, apply Apply) (*ReplayReport, error) 
 		syncDir(j.dir)
 	}
 	j.baseEpoch = baseEpoch
+	j.key = maxKey     // keeps new segments last in (key, generation) order
 	j.gen = maxGen + 1 // always a fresh generation: never append into a truncated tail
 	j.sinceRot = int64(rep.Batches)
 	j.recovered = true

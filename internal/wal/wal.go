@@ -2,11 +2,10 @@
 // continuous durability (DESIGN.md §14): every committed ingest group
 // — the post-group-commit batch that maps 1:1 to an epoch publish —
 // is appended as a length-prefixed, FNV-64a-checksummed record to a
-// generation-numbered segment file keyed to the base snapshot's
-// epoch, BEFORE the batch is applied in memory or acked to the
-// client. After a crash, Recover replays the surviving records on top
-// of the base snapshot and reproduces the never-crashed state
-// bit-identically.
+// generation-numbered segment file, BEFORE the batch is applied in
+// memory or acked to the client. After a crash, Recover replays the
+// surviving records on top of the base snapshot and reproduces the
+// never-crashed state bit-identically.
 //
 // # On-disk layout
 //
@@ -14,11 +13,19 @@
 //
 //	wal.lock            flock'd while a process owns the journal
 //	base.snap[...]      the base snapshot (written by the consumer)
-//	wal.e<E>.g<G>       segment: records appended on top of base epoch E,
-//	                    generation G (G is globally monotonic)
+//	wal.e<E>.g<G>       segment keyed to epoch E: every record in it is
+//	                    for an epoch > E; generation G is globally
+//	                    monotonic
+//
+// The key is what makes compaction a two-phase rotation. Cut(E), under
+// the consumer's write lock, closes the open segment and keys the next
+// generation to E; once a base snapshot at E is durable, Retire(E)
+// deletes the segments keyed below E. Whichever base a crash leaves on
+// disk, the segments keyed at or above its epoch chain contiguously on
+// top of it, and Recover replays exactly those.
 //
 // Each segment starts with a fixed 32-byte header (magic, format
-// version, base epoch, generation) followed by records:
+// version, key epoch, generation) followed by records:
 //
 //	[u32 LE payload length][u64 LE FNV-64a of payload][payload]
 //
@@ -78,7 +85,6 @@ const (
 const (
 	DefaultGroupInterval   = 2 * time.Millisecond
 	DefaultMaxSegmentBytes = 64 << 20
-	DefaultCompactEvery    = 64
 )
 
 // Policy selects when Append makes records durable.
@@ -135,9 +141,10 @@ type Config struct {
 	// grows past this (default 64 MiB).
 	MaxSegmentBytes int64
 	// CompactEvery is read by the embedding service (iuad.Service),
-	// not the journal itself: after this many journaled batches the
-	// service writes a fresh base snapshot and rotates the journal
-	// (default 64; < 0 disables automatic compaction).
+	// not the journal itself. 0, the product default, compacts when the
+	// journal bytes since the base reach 1/8 of the base's bytes; > 0
+	// compacts every that many journaled batches instead (tests, bench
+	// sweep); < 0 disables automatic compaction.
 	CompactEvery int
 }
 
@@ -147,9 +154,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSegmentBytes <= 0 {
 		c.MaxSegmentBytes = DefaultMaxSegmentBytes
-	}
-	if c.CompactEvery == 0 {
-		c.CompactEvery = DefaultCompactEvery
 	}
 	return c
 }
@@ -191,19 +195,21 @@ func (e *CorruptError) Error() string {
 // Stats is the point-in-time journal accounting surfaced through
 // Service.JournalStats and /metrics.
 type Stats struct {
-	Dir             string          `json:"dir"`
-	Fsync           string          `json:"fsync"`
-	BaseEpoch       uint64          `json:"base_epoch"`
-	Generation      uint64          `json:"generation"`
-	Segments        int             `json:"segments"`
-	SegmentBytes    int64           `json:"segment_bytes"`
-	AppendedBatches int64           `json:"appended_batches"`
-	AppendedPapers  int64           `json:"appended_papers"`
-	AppendedBytes   int64           `json:"appended_bytes"`
-	BatchesSinceRotate int64        `json:"batches_since_rotate"`
-	Rotations       int64           `json:"rotations"`
-	Fsyncs          int64           `json:"fsyncs"`
-	FsyncLatency    hdrhist.Summary `json:"fsync_latency"`
+	Dir             string `json:"dir"`
+	Fsync           string `json:"fsync"`
+	BaseEpoch       uint64 `json:"base_epoch"`
+	Generation      uint64 `json:"generation"`
+	Segments        int    `json:"segments"`
+	SegmentBytes    int64  `json:"segment_bytes"`
+	AppendedBatches int64  `json:"appended_batches"`
+	AppendedPapers  int64  `json:"appended_papers"`
+	AppendedBytes   int64  `json:"appended_bytes"`
+	// BatchesSinceRotate counts the batches the journal holds on top of
+	// the base; Rotations counts completed Retires.
+	BatchesSinceRotate int64           `json:"batches_since_rotate"`
+	Rotations          int64           `json:"rotations"`
+	Fsyncs             int64           `json:"fsyncs"`
+	FsyncLatency       hdrhist.Summary `json:"fsync_latency"`
 }
 
 // AppendToken identifies the record an Append wrote, for Rollback.
@@ -226,7 +232,9 @@ type Journal struct {
 	f          *os.File // current segment (nil until the first post-recovery Append)
 	fpath      string
 	size       int64
-	baseEpoch  uint64
+	baseEpoch  uint64 // epoch of the base snapshot the journal sits on
+	key        uint64 // epoch new segments are keyed to (the last Cut)
+	cutBatches int64  // sinceRot at the last Cut: what its Retire takes off
 	gen        uint64 // generation of the current (or next) segment
 	liveSegs   int
 	segBytes   int64
@@ -388,59 +396,75 @@ func (j *Journal) Rollback(tok AppendToken) error {
 	return nil
 }
 
-// Rotate garbage-collects every segment and starts a fresh generation
-// keyed to newBase. The caller must have made a base snapshot at
-// epoch newBase durable FIRST — rotation's contract is "everything in
-// the journal is contained in the new base", which holds because the
-// consumer compacts under its write lock (no batches land between the
-// base save and the rotate).
-func (j *Journal) Rotate(newBase uint64) error {
+// Cut ends the current generation at epoch: the open segment is
+// fsynced and closed, and the records for epoch+1… land in a fresh
+// generation keyed to epoch. The consumer calls it under its write
+// lock, with epoch the last record appended, as the first half of a
+// compaction; it costs one fsync and no directory scan. Until Retire
+// nothing is deleted, so a failed or crashed base write loses nothing:
+// the older segments still chain onto the older base.
+func (j *Journal) Cut(epoch uint64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return ErrClosed
 	}
 	if j.f != nil {
-		if j.cfg.Fsync != SyncOff {
-			if err := j.syncLocked(); err != nil {
-				j.failed = err
-				return err
-			}
-		}
-		if err := j.f.Close(); err != nil {
+		if err := j.rollSegmentLocked(); err != nil {
 			j.failed = err
 			return err
 		}
-		j.f, j.fpath, j.size = nil, "", 0
-		j.dirty = false
+	}
+	j.key = epoch
+	j.cutBatches = j.sinceRot
+	return nil
+}
+
+// Retire deletes every segment keyed below epoch. The caller must have
+// made a base snapshot at epoch durable FIRST, and epoch must be the
+// last Cut: every segment keyed below it was closed by that Cut or an
+// earlier one, so all its records are contained in the base.
+func (j *Journal) Retire(epoch uint64) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.closed {
+		return ErrClosed
 	}
 	ents, err := os.ReadDir(j.dir)
 	if err != nil {
 		return err
 	}
 	for _, e := range ents {
-		if _, _, ok := parseSegmentName(e.Name()); ok {
-			if err := os.Remove(filepath.Join(j.dir, e.Name())); err != nil {
-				return fmt.Errorf("wal: gc segment %s: %w", e.Name(), err)
-			}
+		key, _, ok := parseSegmentName(e.Name())
+		if !ok || key >= epoch {
+			continue
 		}
+		fi, err := e.Info()
+		if err != nil {
+			return fmt.Errorf("wal: retire segment %s: %w", e.Name(), err)
+		}
+		if err := os.Remove(filepath.Join(j.dir, e.Name())); err != nil {
+			return fmt.Errorf("wal: retire segment %s: %w", e.Name(), err)
+		}
+		j.liveSegs--
+		j.segBytes -= fi.Size()
 	}
 	syncDir(j.dir) // best effort: make the removals durable
-	j.baseEpoch = newBase
-	j.gen++
+	j.baseEpoch = epoch
+	j.sinceRot -= j.cutBatches
+	j.cutBatches = 0
 	j.rotations++
-	j.sinceRot = 0
-	j.liveSegs = 0
-	j.segBytes = 0
 	return nil
 }
 
-// BatchesSinceRotate returns how many batches the journal holds on
-// top of the current base — the consumer's compaction pressure.
-func (j *Journal) BatchesSinceRotate() int64 {
+// SinceBase returns what the journal holds on top of the base — the
+// batches a recovery would replay and the bytes of every live segment
+// it would read — the consumer's compaction pressure. Both only drop
+// at Retire.
+func (j *Journal) SinceBase() (batches, bytes int64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.sinceRot
+	return j.sinceRot, j.segBytes
 }
 
 // Stats returns the point-in-time journal accounting.
@@ -448,19 +472,19 @@ func (j *Journal) Stats() Stats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return Stats{
-		Dir:             j.dir,
-		Fsync:           j.cfg.Fsync.String(),
-		BaseEpoch:       j.baseEpoch,
-		Generation:      j.gen,
-		Segments:        j.liveSegs,
-		SegmentBytes:    j.segBytes,
-		AppendedBatches: j.batches,
-		AppendedPapers:  j.papers,
-		AppendedBytes:   j.bytesAcc,
+		Dir:                j.dir,
+		Fsync:              j.cfg.Fsync.String(),
+		BaseEpoch:          j.baseEpoch,
+		Generation:         j.gen,
+		Segments:           j.liveSegs,
+		SegmentBytes:       j.segBytes,
+		AppendedBatches:    j.batches,
+		AppendedPapers:     j.papers,
+		AppendedBytes:      j.bytesAcc,
 		BatchesSinceRotate: j.sinceRot,
-		Rotations:       j.rotations,
-		Fsyncs:          j.fsyncs,
-		FsyncLatency:    j.fsyncLat.Snapshot(),
+		Rotations:          j.rotations,
+		Fsyncs:             j.fsyncs,
+		FsyncLatency:       j.fsyncLat.Snapshot(),
 	}
 }
 
@@ -535,7 +559,7 @@ func (j *Journal) syncLocked() error {
 // its header. Segments are opened O_APPEND so a truncate-then-write
 // sequence (Rollback, per-commit fsync failure) cannot leave a hole.
 func (j *Journal) createSegmentLocked() error {
-	path := filepath.Join(j.dir, segmentName(j.baseEpoch, j.gen))
+	path := filepath.Join(j.dir, segmentName(j.key, j.gen))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: create segment: %w", err)
@@ -543,7 +567,7 @@ func (j *Journal) createSegmentLocked() error {
 	var hdr [segHeaderLen]byte
 	copy(hdr[:8], segMagic)
 	binary.LittleEndian.PutUint64(hdr[8:16], segVersion)
-	binary.LittleEndian.PutUint64(hdr[16:24], j.baseEpoch)
+	binary.LittleEndian.PutUint64(hdr[16:24], j.key)
 	binary.LittleEndian.PutUint64(hdr[24:32], j.gen)
 	if _, err := f.Write(hdr[:]); err != nil {
 		f.Close()
@@ -648,11 +672,11 @@ func fnv64a(b []byte) uint64 {
 	return h.Sum64()
 }
 
-func segmentName(base, gen uint64) string {
-	return fmt.Sprintf("wal.e%d.g%08d", base, gen)
+func segmentName(key, gen uint64) string {
+	return fmt.Sprintf("wal.e%d.g%08d", key, gen)
 }
 
-func parseSegmentName(name string) (base, gen uint64, ok bool) {
+func parseSegmentName(name string) (key, gen uint64, ok bool) {
 	rest, found := strings.CutPrefix(name, "wal.e")
 	if !found {
 		return 0, 0, false

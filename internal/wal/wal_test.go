@@ -328,7 +328,33 @@ func TestRollbackWithdrawsLastRecord(t *testing.T) {
 	}
 }
 
-func TestRotateGCsSegmentsAndRecoveryDropsStale(t *testing.T) {
+// copyDir clones the regular files of a journal directory: what a
+// SIGKILL at this instant would leave behind.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// TestCutRetireGCsSegmentsAndRecoveryDropsStale pins the two-phase
+// rotation: Cut keys later records to the cut epoch and deletes
+// nothing, so until Retire the directory recovers from EITHER base —
+// the whole chain on the old one, the tail on the new one — and Retire
+// then deletes exactly the segments keyed below the new base.
+func TestCutRetireGCsSegmentsAndRecoveryDropsStale(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir, Config{Fsync: SyncOff, MaxSegmentBytes: 1})
 	if err != nil {
@@ -342,36 +368,109 @@ func TestRotateGCsSegmentsAndRecoveryDropsStale(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := j.Rotate(3); err != nil {
-		t.Fatalf("Rotate: %v", err)
-	}
-	if segs := segmentFiles(t, dir); len(segs) != 0 {
-		t.Fatalf("Rotate left segments behind: %v", segs)
+	if err := j.Cut(3); err != nil {
+		t.Fatalf("Cut: %v", err)
 	}
 	if _, err := j.Append(4, testBatch(10, 2)); err != nil {
 		t.Fatal(err)
 	}
+	if segs := segmentFiles(t, dir); len(segs) != 4 {
+		t.Fatalf("Cut must not delete: %d segments, want 3 keyed 0 + 1 keyed 3: %v", len(segs), segs)
+	}
+
+	// Crash after the cut, base write never finished: the old base
+	// (epoch 0) gets the whole chain, across the key boundary.
+	got, rep := replayAll(t, copyDir(t, dir), 0)
+	if len(got) != 4 || rep.StaleRemoved != 0 || got[3][0].Title != testBatch(10, 2)[0].Title {
+		t.Fatalf("old-base recovery: %d batches, report %+v", len(got), rep)
+	}
+	// Crash after the base rename, before Retire: the new base (epoch
+	// 3) replays only the tail and drops the segments it covers.
+	got, rep = replayAll(t, copyDir(t, dir), 3)
+	if len(got) != 1 || rep.StaleRemoved != 3 {
+		t.Fatalf("new-base recovery: %d batches, report %+v", len(got), rep)
+	}
+
+	if err := j.Retire(3); err != nil {
+		t.Fatalf("Retire: %v", err)
+	}
+	segs := segmentFiles(t, dir)
+	if len(segs) != 1 || filepath.Base(segs[0]) != segmentName(3, 4) {
+		t.Fatalf("Retire left %v, want only the segment keyed 3", segs)
+	}
+	fi, err := os.Stat(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := j.Stats()
-	if st.BaseEpoch != 3 || st.Rotations != 1 || st.BatchesSinceRotate != 1 {
-		t.Fatalf("stats after rotate: %+v", st)
+	if st.BaseEpoch != 3 || st.Rotations != 1 || st.BatchesSinceRotate != 1 || st.Segments != 1 {
+		t.Fatalf("stats after retire: %+v", st)
+	}
+	if batches, bytes := j.SinceBase(); batches != 1 || bytes != fi.Size() {
+		t.Fatalf("SinceBase = %d batches, %d bytes; want 1 and the surviving segment's %d bytes", batches, bytes, fi.Size())
 	}
 	j.Close()
 
-	// Simulate the crash-between-base-save-and-rotate leftover: drop
-	// a stale segment keyed to an older base epoch next to the live one.
+	// A leftover keyed below the base is dropped without being read.
 	stale := filepath.Join(dir, segmentName(0, 99))
 	if err := os.WriteFile(stale, []byte("not even a header"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, rep := replayAll(t, dir, 3)
+	got, rep = replayAll(t, dir, 3)
 	if len(got) != 1 || got[0][0].Title != testBatch(10, 2)[0].Title {
-		t.Fatalf("replay after rotate: %d batches", len(got))
+		t.Fatalf("replay after retire: %d batches", len(got))
 	}
 	if rep.StaleRemoved != 1 {
 		t.Fatalf("stale segment not GC'd: %+v", rep)
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Fatal("stale segment file still present")
+	}
+}
+
+// TestRecoverAppendsAfterTheChain: a recovery that replayed segments
+// keyed above the base must key its own generation so that it still
+// sorts last — otherwise the NEXT recovery would read it too early.
+func TestRecoverAppendsAfterTheChain(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(dir, Config{Fsync: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Recover(0, nil); err != nil {
+		t.Fatal(err)
+	}
+	for e := uint64(1); e <= 2; e++ {
+		if _, err := j.Append(e, testBatch(int(e), 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Cut(2); err != nil { // base@2 is never written
+		t.Fatal(err)
+	}
+	if _, err := j.Append(3, testBatch(3, 1)); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	appendFrom := func(base, first uint64) {
+		t.Helper()
+		j, err := Open(dir, Config{Fsync: SyncOff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		if _, err := j.Recover(base, nil); err != nil {
+			t.Fatalf("Recover: %v", err)
+		}
+		if _, err := j.Append(first, testBatch(int(first), 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendFrom(0, 4) // restart on the old base, one more batch
+	got, rep := replayAll(t, dir, 0)
+	if len(got) != 4 || rep.Segments != 3 {
+		t.Fatalf("chain + post-recovery generation: %d batches, report %+v", len(got), rep)
 	}
 }
 

@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,7 +49,7 @@ import (
 // Construct a Service with Open (corpus in, fitted service out) or
 // NewService (wrap an already-fitted Pipeline).
 type Service struct {
-	mu           sync.Mutex // serializes writers and snapshotting
+	mu           sync.Mutex // serializes writers and pins snapshots
 	pl           *core.Pipeline
 	pub          *core.ViewPublisher
 	q            *ingestq.Queue  // admission control + group commit (DESIGN.md §12)
@@ -59,10 +62,14 @@ type Service struct {
 	journal      *wal.Journal
 	journalBase  string            // base-snapshot path inside the journal dir
 	jrec         *wal.ReplayReport // what recovery replayed, nil when not journaled
-	compactEvery int               // journaled batches between base compactions (0 = never)
-	sinceBase    int               // guarded by mu
-	compacting   atomic.Bool       // one background compaction at a time
-	closedA      atomic.Bool       // lock-free mirror of closed for /healthz
+	compactEvery int               // JournalConfig.CompactEvery (0 = size-tiered trigger)
+	compactMu    sync.Mutex        // one compaction at a time; taken before mu
+	baseBytes    atomic.Int64      // size of the base on disk (0 = none yet)
+	compacting   atomic.Bool       // a compaction is between its cut and its retire
+	compactFails atomic.Int64
+	compactErr   atomic.Pointer[string]
+	compactLast  atomic.Pointer[CompactionReport]
+	closedA      atomic.Bool // lock-free mirror of closed for /healthz
 }
 
 // Stats is the point-in-time summary served by Service.Stats.
@@ -133,10 +140,12 @@ func WithSnapshot(path string) Option {
 // Open loads the newest base snapshot from dir (fitting the corpus
 // only when none exists yet), replays the journal on top of it, and
 // produces assignments bit-identical to a process that never crashed.
-// After CompactEvery journaled batches a background compaction writes
-// a fresh base and garbage-collects the replayed segments, bounding
-// recovery time. Close compacts, so a clean shutdown restarts with an
-// empty journal.
+// When the journal has grown to 1/8 of the base snapshot's bytes a
+// background compaction writes a fresh base — encoded from a pinned
+// epoch beside the commits, not under the write lock — and retires the
+// segments it covers, bounding recovery time at replaying about an
+// eighth of the base. Close compacts, so a clean shutdown restarts
+// with an empty journal.
 //
 // The directory admits ONE live service at a time: a second Open
 // fails fast with ErrJournalLocked. Mutually exclusive with
@@ -147,8 +156,9 @@ func WithJournal(dir string) Option {
 
 // WithJournalConfig is WithJournal with explicit tuning: fsync policy
 // (default FsyncPerCommit), grouped-fsync cadence, segment roll size,
-// and the compaction threshold (default 64 batches; negative disables
-// automatic compaction).
+// and CompactEvery (0, the default, is the size-tiered trigger of
+// WithJournal; positive compacts every that many batches instead;
+// negative disables automatic compaction).
 func WithJournalConfig(dir string, cfg JournalConfig) Option {
 	return func(o *options) { o.journalDir = dir; o.journal = cfg }
 }
@@ -280,18 +290,13 @@ func openJournaled(corpus *Corpus, o *options) (*Service, error) {
 	s.journal = j
 	s.journalBase = base
 	s.compactEvery = o.journal.CompactEvery
-	if s.compactEvery == 0 {
-		s.compactEvery = wal.DefaultCompactEvery
-	} else if s.compactEvery < 0 {
-		s.compactEvery = 0
-	}
+	s.baseBytes.Store(snapshotBytes(base))
 	jrep, err := j.Recover(epoch, s.replayBatch)
 	if err != nil {
 		s.q.Close()
 		return nil, fmt.Errorf("iuad: journal recovery: %w", err)
 	}
 	s.jrec = jrep
-	s.sinceBase = jrep.Batches
 	ok = true
 	return s, nil
 }
@@ -436,11 +441,7 @@ func (s *Service) commitBatch(batch []bib.Paper) ([][]core.Assignment, error) {
 		// write lock (it snapshots what the batch touched, O(touch)).
 		pc = s.pub.Capture(res)
 	}
-	compact := false
-	if err == nil && s.journal != nil && s.compactEvery > 0 {
-		s.sinceBase++
-		compact = s.sinceBase >= s.compactEvery
-	}
+	compact := err == nil && s.journal != nil && s.compactionDue()
 	s.mu.Unlock()
 	if pc != nil {
 		// Apply outside the lock: batches touching disjoint name
@@ -448,47 +449,112 @@ func (s *Service) commitBatch(batch []bib.Paper) ([][]core.Assignment, error) {
 		// batches serialize, on that shard's apply lock.
 		s.pub.Apply(pc)
 	}
-	if compact && s.compacting.CompareAndSwap(false, true) {
-		// Base compaction runs off the commit path: ingest keeps
-		// acking against the journal while the fresh base is written.
-		// On failure sinceBase stays high, so the next commit retries.
+	if compact && s.compactMu.TryLock() {
+		// Base compaction runs off the commit path: ingest keeps acking
+		// against the journal while the fresh base is encoded and
+		// written. A failure is counted and the next commit retries.
 		go func() {
-			defer s.compacting.Store(false)
-			_ = s.Compact()
+			defer s.compactMu.Unlock()
+			_ = s.compactHeld() // recorded in Compaction()
 		}()
 	}
 	return res, err
 }
 
-// Compact writes a fresh base snapshot at the current epoch into the
-// journal directory (via the crash-safe WriteFileAtomic / composite
-// manifest-rename path), then rotates the journal: replayed segments
-// are garbage-collected and appends continue in a new generation.
-// Crash-safety of the handoff: the base commit point is an atomic
-// rename, and until Rotate removes them the old segments are merely
-// stale (recovery GCs segments keyed to an older base epoch), so a
-// crash between the two steps recovers correctly from either base.
-// No-op errors: ErrClosed after Close; journaled services only.
-func (s *Service) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.compactLocked()
+// compactRatio is the size-tiered trigger: a compaction starts when the
+// journal holds 1/compactRatio of the base's bytes, which bounds write
+// amplification at compactRatio+1 and a crash's replay at that share.
+const compactRatio = 8
+
+// compactionDue decides, after a journaled commit, whether to start a
+// compaction. No base on disk counts as 0 bytes, so the first commit
+// after a fresh fit writes one. The journal's pressure only drops when
+// a compaction retires, so a failed one leaves the trigger armed.
+func (s *Service) compactionDue() bool {
+	batches, bytes := s.journal.SinceBase()
+	switch {
+	case s.compactEvery < 0:
+		return false
+	case s.compactEvery > 0:
+		return batches >= int64(s.compactEvery)
+	}
+	return bytes*compactRatio >= s.baseBytes.Load()
 }
 
-func (s *Service) compactLocked() error {
+// snapshotBytes sums the files of the snapshot at path: the single file
+// or manifest plus, for a composite, the segment files named after it.
+func snapshotBytes(path string) int64 {
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		return 0
+	}
+	var n int64
+	for _, e := range entries {
+		if !strings.HasPrefix(e.Name(), filepath.Base(path)) {
+			continue
+		}
+		if fi, err := e.Info(); err == nil {
+			n += fi.Size()
+		}
+	}
+	return n
+}
+
+// Compact writes a fresh base snapshot into the journal directory and
+// retires the journal segments it covers, returning once both are done
+// (DESIGN.md §14). The write lock is held only to pin the published
+// epoch E and cut the journal there; the base is encoded from the
+// pinned view beside later commits, renamed into place, and only then
+// are the segments keyed below E deleted — so a crash at any point
+// recovers from whichever base is on disk, and a failed base write
+// merely leaves a longer journal for the next attempt. One compaction
+// runs at a time. Errors: ErrClosed after Close; journaled services only.
+func (s *Service) Compact() error {
 	if s.journal == nil {
 		return errors.New("iuad: Compact needs a journaled service (WithJournal)")
 	}
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
+	return s.compactHeld()
+}
+
+// compactHeld is one compaction; the caller holds compactMu.
+func (s *Service) compactHeld() (err error) {
+	s.compacting.Store(true)
+	defer func() {
+		s.compacting.Store(false)
+		if err != nil {
+			s.compactFails.Add(1)
+			msg := err.Error()
+			s.compactErr.Store(&msg)
+		}
+	}()
+	t0 := time.Now()
+	s.mu.Lock()
+	locked := time.Now()
 	if s.closed {
+		s.mu.Unlock()
 		return ErrClosed
 	}
-	if err := s.saveFileLocked(s.journalBase); err != nil {
+	pin := s.pub.Pin()
+	rep := CompactionReport{Epoch: pin.Epoch()}
+	_, rep.JournalBytesAtStart = s.journal.SinceBase()
+	err = s.journal.Cut(rep.Epoch)
+	rep.LockHeldUs = float64(time.Since(locked)) / float64(time.Microsecond)
+	s.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	if err := s.journal.Rotate(s.pub.CapturedEpoch()); err != nil {
+	if err = pin.SaveFile(s.journalBase); err != nil {
 		return err
 	}
-	s.sinceBase = 0
+	if err = s.journal.Retire(rep.Epoch); err != nil {
+		return err
+	}
+	rep.BaseBytes = snapshotBytes(s.journalBase)
+	s.baseBytes.Store(rep.BaseBytes)
+	rep.DurationMs = float64(time.Since(t0)) / float64(time.Millisecond)
+	s.compactLast.Store(&rep)
 	return nil
 }
 
@@ -578,12 +644,10 @@ func (s *Service) Paper(id PaperID) (*Paper, error) {
 // answers every query and ingest bit-identically. Save refuses a
 // partially-recovered service (its dead vertices have no legacy
 // representation); use SaveFile, whose composite format carries them.
+// Like every snapshot of a live service it is encoded from a pinned
+// epoch: writers are held out only while the epoch is pinned.
 func (s *Service) Save(w io.Writer) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	epoch := s.pub.CapturedEpoch()
-	s.pub.Sync(epoch)
-	return core.SaveService(w, s.pl, epoch)
+	return s.pin().Encode(w)
 }
 
 // SaveFile writes a service snapshot to path crash-safely: every file
@@ -594,23 +658,16 @@ func (s *Service) Save(w io.Writer) error {
 // composite manifest-plus-segments format, with segments written in
 // parallel; single-shard services keep the legacy single-file format.
 func (s *Service) SaveFile(path string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.saveFileLocked(path)
+	return s.pin().SaveFile(path)
 }
 
-func (s *Service) saveFileLocked(path string) error {
-	// Holding s.mu keeps new captures out; Sync waits for in-flight
-	// Apply/assemble work so the saved per-shard counters match the
-	// saved pipeline state exactly.
-	epoch := s.pub.CapturedEpoch()
-	s.pub.Sync(epoch)
-	if s.pub.Shards() > 1 || s.recovery != nil {
-		return core.SaveShardedService(path, s.pl, epoch, s.pub.ShardSeeds())
-	}
-	return core.WriteFileAtomic(path, func(w io.Writer) error {
-		return core.SaveService(w, s.pl, epoch)
-	})
+// pin pins the current epoch for a snapshot. Holding s.mu keeps new
+// captures out; Pin waits for in-flight Apply/assemble work so the
+// saved per-shard counters match the saved state exactly.
+func (s *Service) pin() *core.BasePin {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pub.Pin()
 }
 
 // Close shuts the write API down in drain order: stop admitting (new
@@ -625,27 +682,36 @@ func (s *Service) Close() error {
 	// Drain outside the write lock: the queued batches' commits take
 	// s.mu themselves, so holding it here would deadlock the flush.
 	s.q.Close()
+	// Persist BEFORE marking closed: a failed save (disk full, ...)
+	// leaves the service open so a later Close can retry the snapshot
+	// instead of reporting success for state that was never written.
+	if s.journal != nil {
+		// Compact on shutdown, after any compaction still in flight:
+		// the successor restarts from a fresh base with an empty
+		// journal (zero replay).
+		s.compactMu.Lock()
+		defer s.compactMu.Unlock()
+		if s.closedA.Load() {
+			return nil
+		}
+		if err := s.compactHeld(); err != nil {
+			return err
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
-	// Persist BEFORE marking closed: a failed save (disk full, ...)
-	// leaves the service open so a later Close can retry the snapshot
-	// instead of reporting success for state that was never written.
 	switch {
 	case s.journal != nil:
-		// Compact on shutdown: the successor restarts from a fresh
-		// base with an empty journal (zero replay), and closing the
-		// journal releases the directory lock for it.
-		if err := s.compactLocked(); err != nil {
-			return err
-		}
+		// Closing the journal releases the directory lock for the
+		// successor.
 		if err := s.journal.Close(); err != nil {
 			return err
 		}
 	case s.snapshotPath != "":
-		if err := s.saveFileLocked(s.snapshotPath); err != nil {
+		if err := s.pub.Pin().SaveFile(s.snapshotPath); err != nil {
 			return err
 		}
 	}
@@ -659,14 +725,34 @@ func (s *Service) Close() error {
 func (s *Service) Closed() bool { return s.closedA.Load() }
 
 // JournalStats returns the write-ahead journal's accounting (append
-// counters, segment sizes, fsync latency histogram), or nil when the
-// service was opened without WithJournal.
+// counters, segment sizes, fsync latency histogram) together with the
+// compaction status, or nil when the service was opened without
+// WithJournal.
 func (s *Service) JournalStats() *JournalStats {
 	if s.journal == nil {
 		return nil
 	}
-	st := s.journal.Stats()
-	return &st
+	return &JournalStats{Stats: s.journal.Stats(), CompactionStatus: *s.Compaction()}
+}
+
+// Compaction returns where base compaction stands — journal bytes on
+// top of the base, whether one is running, failures and the last
+// error, and the last completed compaction's report — or nil when the
+// service was opened without WithJournal. /healthz serves it.
+func (s *Service) Compaction() *CompactionStatus {
+	if s.journal == nil {
+		return nil
+	}
+	st := &CompactionStatus{
+		InFlight: s.compacting.Load(),
+		Failures: s.compactFails.Load(),
+		Last:     s.compactLast.Load(),
+	}
+	_, st.BytesSinceBase = s.journal.SinceBase()
+	if msg := s.compactErr.Load(); msg != nil {
+		st.LastError = *msg
+	}
+	return st
 }
 
 // JournalRecovery reports what journal recovery replayed when the

@@ -160,9 +160,11 @@ func TestShardedSerialEquivalence(t *testing.T) {
 }
 
 // TestShardedConcurrentWriters drives concurrent AddPapers through a
-// sharded service (run under -race in CI): every batch publishes
-// exactly one epoch regardless of interleaving, and the pending
-// counters return to zero.
+// sharded service (run under -race in CI). Group commit may fold
+// concurrent batches into one epoch, so the epoch count is bounded by
+// the batch count, not equal to it; what must hold for every
+// interleaving is that each epoch was published exactly once, every
+// acked paper is resolvable, and the pending counters return to zero.
 func TestShardedConcurrentWriters(t *testing.T) {
 	d := serviceDataset(59)
 	svc, err := iuad.Open(d.Corpus, iuad.WithConfig(equivCoreConfig(1)), iuad.WithShards(8))
@@ -172,6 +174,7 @@ func TestShardedConcurrentWriters(t *testing.T) {
 	const writers, batchesPer = 4, 5
 	var wg sync.WaitGroup
 	errs := make([]error, writers)
+	acked := make([][]iuad.Assignment, writers)
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -185,9 +188,13 @@ func TestShardedConcurrentWriters(t *testing.T) {
 						Venue: "VLDB", Year: 2022,
 						Authors: []string{fmt.Sprintf("Writer %d Author %d", w, (b+1)%3)}},
 				}
-				if _, err := svc.AddPapers(context.Background(), batch); err != nil {
+				res, err := svc.AddPapers(context.Background(), batch)
+				if err != nil {
 					errs[w] = err
 					return
+				}
+				for _, as := range res {
+					acked[w] = append(acked[w], as...)
 				}
 			}
 		}(w)
@@ -198,8 +205,20 @@ func TestShardedConcurrentWriters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := svc.Epoch(); got != writers*batchesPer {
-		t.Fatalf("epoch %d, want %d (one per batch)", got, writers*batchesPer)
+	epoch := svc.Epoch()
+	if epoch < 1 || epoch > writers*batchesPer {
+		t.Fatalf("epoch %d, want 1..%d (at most one per batch)", epoch, writers*batchesPer)
+	}
+	for w := range acked {
+		if len(acked[w]) != 2*batchesPer {
+			t.Fatalf("writer %d: %d acked slots, want %d", w, len(acked[w]), 2*batchesPer)
+		}
+		for _, a := range acked[w] {
+			got, err := svc.ResolveSlot(a.Slot)
+			if err != nil || got.ID != a.Vertex {
+				t.Fatalf("acked slot %+v assigned to %d resolves to %+v, %v", a.Slot, a.Vertex, got, err)
+			}
+		}
 	}
 	for _, info := range svc.Shards() {
 		if info.Pending != 0 {
@@ -207,8 +226,8 @@ func TestShardedConcurrentWriters(t *testing.T) {
 		}
 	}
 	cs := svc.Contention()
-	if cs.Shards != 8 || cs.Publishes != writers*batchesPer {
-		t.Fatalf("contention %+v", cs)
+	if cs.Shards != 8 || uint64(cs.Publishes) != epoch {
+		t.Fatalf("contention %+v at epoch %d: publishes must equal the epoch", cs, epoch)
 	}
 }
 
