@@ -217,7 +217,7 @@ func iuadBenchPaper(author string, i int) bib.Paper {
 // iteration restores a fresh pipeline from an in-memory snapshot, so
 // each mode ingests into identical state; results are bit-identical
 // across modes by the batched-ingest contract, only the shared work
-// per paper changes. BENCH_serve.json records the benchjson variant.
+// per paper changes.
 func BenchmarkAddPapersBatch(b *testing.B) {
 	s := benchSuite(b)
 	cfg := s.Opts.Core

@@ -7,6 +7,7 @@
 //	experiments -run all                 # everything, default scale
 //	experiments -run table3,table4      # selected artifacts
 //	experiments -scale quick            # small smoke-test corpus
+//	experiments -run accuracy           # labeled accuracy at 10⁴–10⁵ papers (not part of 'all')
 package main
 
 import (
@@ -14,9 +15,11 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
+	"iuad/internal/accuracy"
 	"iuad/internal/experiments"
 )
 
@@ -26,10 +29,11 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
 	var (
-		run     = flag.String("run", "all", "comma-separated experiment ids ("+strings.Join(runners, ",")+") or 'all'")
+		run     = flag.String("run", "all", "comma-separated experiment ids ("+strings.Join(runners, ",")+"), 'all' of those, or 'accuracy'")
 		scale   = flag.String("scale", "default", "corpus scale: default | quick")
 		seed    = flag.Int64("seed", 0, "override corpus seed (0 = config default)")
 		workers = flag.Int("workers", 0, "IUAD worker pool size (0 = one per logical CPU; results are identical for any value)")
+		accN    = flag.String("accuracy-papers", "10000,40000,120000", "comma-separated target corpus sizes of -run accuracy")
 	)
 	flag.Parse()
 
@@ -64,6 +68,14 @@ func main() {
 		tab := experiments.RunEq2()
 		tab.Fprint(os.Stdout)
 		fmt.Println()
+	}
+	if want["accuracy"] {
+		tab := runAccuracy(*accN, *seed)
+		tab.Fprint(os.Stdout)
+		fmt.Println()
+		if len(want) == 1 {
+			return // it generates its own corpora: no suite to build
+		}
 	}
 
 	start := time.Now()
@@ -126,4 +138,36 @@ func main() {
 			fmt.Println()
 		}
 	}
+}
+
+// runAccuracy runs the labeled accuracy scenario (internal/accuracy,
+// EXPERIMENTS.md) at each target corpus size: the whole corpus fitted in
+// batch against a 95% prefix fitted and the rest streamed through
+// AddPapers, both scored against the generator's ground truth.
+func runAccuracy(papersCSV string, seed int64) experiments.Table {
+	if seed == 0 {
+		seed = 1
+	}
+	tab := experiments.Table{ID: "accuracy", Title: fmt.Sprintf("labeled accuracy scenario, seed %d", seed),
+		Header: []string{"papers", "names", "batch F1 / B3 / purity", "incr F1 / B3 / purity", "gap", "epochs", "batch", "incr"}}
+	for _, tok := range strings.Split(papersCSV, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(tok))
+		if err != nil || n < 1000 {
+			log.Fatalf("bad -accuracy-papers entry %q (want paper counts of at least 1000)", tok)
+		}
+		res, err := accuracy.Run(accuracy.Scale(n, seed))
+		if err != nil {
+			log.Fatalf("accuracy at %d papers: %v", n, err)
+		}
+		b, inc := res.Batch.Metrics, res.Incremental.Metrics
+		tab.Rows = append(tab.Rows, []string{
+			strconv.Itoa(res.Papers), strconv.Itoa(res.AmbiguousNames),
+			fmt.Sprintf("%.3f / %.3f / %.3f", b.Pairwise.MicroF, b.B3F, b.Purity),
+			fmt.Sprintf("%.3f / %.3f / %.3f", inc.Pairwise.MicroF, inc.B3F, inc.Purity),
+			fmt.Sprintf("%.3f", res.PairwiseF1Gap), strconv.Itoa(res.Incremental.EpochPublishes),
+			time.Duration(res.Batch.WallNs).Round(time.Millisecond).String(),
+			time.Duration(res.Incremental.WallNs).Round(time.Millisecond).String(),
+		})
+	}
+	return tab
 }

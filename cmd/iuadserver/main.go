@@ -2,8 +2,8 @@
 // JSON over HTTP — the serving shape of the paper's incremental claim
 // (§V-E): fit once, then answer author queries and ingest newly
 // published papers with no retraining, restart from a snapshot with no
-// EM re-run. The handler itself lives in internal/httpapi so the
-// loadgen harness and cmd/benchjson can run it in-process.
+// EM re-run. The handler itself lives in internal/httpapi so tests can
+// run it in-process.
 //
 // Endpoints:
 //
@@ -76,7 +76,6 @@ import (
 	"time"
 
 	"iuad"
-	"iuad/internal/faultinject"
 	"iuad/internal/httpapi"
 )
 
@@ -99,18 +98,8 @@ func main() {
 		writeTO    = flag.Duration("write-timeout", 60*time.Second, "per-request write deadline (http.Server.WriteTimeout; covers slow ingests; 0 = unlimited)")
 		drainTO    = flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown bound for in-flight HTTP requests")
 		retryAfter = flag.Duration("retry-after", time.Second, "backoff hint carried by 429 overload responses")
-		chaosPub   = flag.Duration("chaos-publish-delay", 0, "FAULT INJECTION: stall every epoch publish this long (forces queue backpressure; load testing only)")
 	)
 	flag.Parse()
-
-	if *chaosPub > 0 {
-		d := *chaosPub
-		faultinject.Arm(faultinject.PublishDelay, func() error {
-			time.Sleep(d)
-			return nil
-		})
-		log.Printf("CHAOS: every epoch publish delayed %v", d)
-	}
 
 	if *journalDir != "" && *snapPath != "" {
 		log.Fatal("-journal and -snapshot are mutually exclusive: the journal owns its base snapshot")
@@ -231,7 +220,7 @@ func openService(corpusPath, snapPath, journalDir string, workers, shards, compa
 		corpus = iuad.GenerateSynthetic(scfg).Corpus
 		log.Printf("fitting synthetic demo corpus (%d papers)", corpus.Len())
 	default:
-		return nil, errors.New("nothing to serve: pass -corpus, -synthetic, or -snapshot pointing at an existing file")
+		return nil, errors.New("nothing to serve: pass -corpus, -synthetic, -snapshot pointing at an existing file, or -journal pointing at a directory that holds a base snapshot")
 	}
 	cfg := iuad.DefaultConfig()
 	if corpus.Len() < 2000 {

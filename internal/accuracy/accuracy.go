@@ -9,8 +9,8 @@
 // bit-identity tests catch refactor drift but are blind to algorithmic
 // changes that keep determinism while silently regressing
 // disambiguation accuracy. The scenario's quick-corpus F1 is pinned by a
-// tier-1 regression test; its scale curves are committed in
-// BENCH_accuracy.json by cmd/benchjson -accuracy.
+// tier-1 regression test; its scale curves are in EXPERIMENTS.md,
+// regenerated by cmd/experiments -run accuracy.
 package accuracy
 
 import (

@@ -173,7 +173,7 @@ func (n *Network) edgePapers(u, v int, _ []bib.PaperID) []bib.PaperID {
 // SaveShardedService writes the composite snapshot to path: one
 // segment per seed (the runtime shard count), encoded and persisted in
 // parallel, then the manifest as the commit point. seeds carries the
-// per-shard serving counters (ViewPublisher.ShardSeeds after Sync).
+// per-shard serving counters (each ShardInfo's Epoch and Publishes).
 //
 // This is the map-walking reference writer: a live Service saves
 // through ViewPublisher.Pin instead, whose output is pinned

@@ -18,8 +18,8 @@ import (
 const SnapshotVersion = 1
 
 // ServiceSnapshotVersion is the wire-format version of service-level
-// snapshots (SaveService/LoadService): a small serving header followed
-// by the same pipeline body as SnapshotVersion streams. Service
+// snapshots (SaveService/OpenServiceSnapshot): a small serving header
+// followed by the same pipeline body as SnapshotVersion streams. Service
 // versions live in their own 1000+ namespace so a pipeline snapshot
 // can never be mistaken for a service snapshot (or vice versa) as the
 // two formats evolve independently.
@@ -83,24 +83,6 @@ func SaveService(w io.Writer, pl *Pipeline, epoch uint64) error {
 		return err
 	}
 	return sw.Close()
-}
-
-// LoadService reconstructs a pipeline and its publish epoch from a
-// stream written by SaveService.
-func LoadService(r io.Reader) (*Pipeline, uint64, error) {
-	sr, err := snapshot.NewReader(r, ServiceSnapshotVersion)
-	if err != nil {
-		return nil, 0, err
-	}
-	epoch := sr.Uvarint()
-	if err := sr.Err(); err != nil {
-		return nil, 0, err
-	}
-	pl, err := decodePipelineBody(sr, true)
-	if err != nil {
-		return nil, 0, err
-	}
-	return pl, epoch, nil
 }
 
 // bodyParts is the part of a pipeline body that ingest keeps growing:

@@ -797,18 +797,6 @@ func (vp *ViewPublisher) ShardInfos() []ShardInfo {
 	return out
 }
 
-// ShardSeeds returns the per-shard epoch/publish counters of the
-// current view, for the composite snapshot manifest. Call Sync first
-// so in-flight applies are reflected.
-func (vp *ViewPublisher) ShardSeeds() []ShardSeed {
-	v := vp.cur.Load()
-	out := make([]ShardSeed, len(v.shards))
-	for i, sv := range v.shards {
-		out[i] = ShardSeed{Epoch: sv.epoch, Publishes: sv.pubs}
-	}
-	return out
-}
-
 // AddIngestWait accrues time a writer spent waiting for the serialized
 // core-ingest lock (reported in ContentionStats).
 func (vp *ViewPublisher) AddIngestWait(ns int64) { vp.ingestWaitNs.Add(ns) }

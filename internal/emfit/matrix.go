@@ -39,9 +39,6 @@ func (mx *Matrix) Features() int { return len(mx.cols) }
 // Rows returns the number of samples appended so far.
 func (mx *Matrix) Rows() int { return mx.rows }
 
-// At returns the value of feature i in sample j.
-func (mx *Matrix) At(j, i int) float64 { return mx.cols[i][j] }
-
 // AppendRow appends one sample across every column. The gamma slice is
 // copied; the caller keeps ownership.
 func (mx *Matrix) AppendRow(gamma []float64) {

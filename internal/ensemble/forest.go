@@ -10,11 +10,6 @@ type ForestConfig struct {
 	Seed          int64
 }
 
-// DefaultForestConfig returns a standard small forest.
-func DefaultForestConfig() ForestConfig {
-	return ForestConfig{Trees: 60, MaxDepth: 8}
-}
-
 // Forest is a bagged ensemble of decision trees (Breiman 2001).
 type Forest struct {
 	trees []*Tree

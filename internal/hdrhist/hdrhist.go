@@ -2,8 +2,8 @@
 // hot-path recording: log-linear buckets (32 sub-buckets per power of
 // two, ≤3.2% relative quantile error), a flat array of atomic
 // counters, and zero allocations per Record. Both the serving side
-// (per-endpoint latency, ingest publish lag — /metrics) and the load
-// generator (cmd/loadgen) record into the same structure, so their
+// (per-endpoint latency, ingest publish lag — /metrics) and the
+// journal (fsync latency) record into the same structure, so their
 // summaries are directly comparable.
 //
 // Values are int64 and unit-agnostic; the serving stack records

@@ -1,8 +1,8 @@
 // Package httpapi is the HTTP face of an iuad.Service: the JSON
 // query/ingest endpoints cmd/iuadserver serves, plus the /metrics
 // introspection endpoint. It exists as a package (rather than code
-// inside the command) so cmd/benchjson and the loadgen harness can run
-// the exact production handler in-process.
+// inside the command) so tests can run the exact production handler
+// in-process.
 //
 // Error contract: every error response is the stable envelope
 //
@@ -80,8 +80,8 @@ type HTTPStats struct {
 	Endpoints map[string]hdrhist.Summary `json:"endpoints"`
 }
 
-// Metrics is the /metrics document: everything the loadgen harness
-// and dashboards need in one lock-free read.
+// Metrics is the /metrics document: everything the benchmark and
+// dashboards need in one lock-free read.
 type Metrics struct {
 	Epoch      uint64               `json:"epoch"`
 	Ingest     iuad.IngestStats     `json:"ingest"`

@@ -1,6 +1,7 @@
 package httpapi_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -286,6 +287,25 @@ func TestAnalyticsEndpoints(t *testing.T) {
 			t.Fatalf("no %s latency recorded: %+v", name, m.HTTP.Endpoints)
 		}
 	}
+
+	// An epoch advance costs exactly one more rebuild, however often
+	// the new epoch is then read, and the answer is the new epoch's.
+	before := net.Authors
+	resp, err := http.Post(srv.URL+"/v1/papers", "application/json",
+		strings.NewReader(`{"title":"Network Probe","venue":"KDD","year":2024,"authors":["Network Probe Author"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("ingest status %d", resp.StatusCode)
+	}
+	getJSON("/v1/network", &net)
+	getJSON("/v1/network", &net)
+	getJSON("/metrics", &m)
+	if net.Authors != before+1 || m.Analytics.Rebuilds != 2 {
+		t.Fatalf("after one ingest: %d authors (was %d), analytics counters %+v", net.Authors, before, m.Analytics)
+	}
 }
 
 // TestOverloadAnswers429 pins the backpressure wire contract: with the
@@ -347,6 +367,147 @@ func TestOverloadAnswers429(t *testing.T) {
 	disarm()
 	release()
 	wg.Wait()
+}
+
+// TestOverloadBurstShedsAndDrains is the overload SLO on a real
+// listener: a burst of concurrent 4-paper POSTs against a 4-paper
+// admission bound, with every publish taking 40 ms, must be shed with
+// 429 + Retry-After and never a 5xx or a hang; what was acked is
+// readable, the queue empties, and Close waits for a batch that is
+// mid-publish. With the bound raised past the burst nothing is shed
+// and the test fails.
+func TestOverloadBurstShedsAndDrains(t *testing.T) {
+	svc := testService(t, iuad.WithIngestConfig(iuad.IngestConfig{MaxQueued: 4, RetryAfter: time.Second}))
+	api := httpapi.New(svc)
+	srv := httptest.NewServer(api)
+	defer srv.Close()
+
+	publishing := make(chan struct{}, 1)
+	disarm := faultinject.Arm(faultinject.PublishDelay, func() error {
+		select {
+		case publishing <- struct{}{}:
+		default:
+		}
+		time.Sleep(40 * time.Millisecond)
+		return nil
+	})
+	defer disarm()
+
+	type slot struct {
+		Paper int `json:"paper"`
+		Index int `json:"index"`
+	}
+	type ack struct {
+		status int
+		retry  string
+		slots  [][]slot
+		err    error
+	}
+	const batchPapers = 4
+	authorOf := func(b, p int) string { return fmt.Sprintf("Burst Author %d %d", b, p) }
+	post := func(b int) (a ack) {
+		papers := make([]map[string]any, batchPapers)
+		for p := range papers {
+			papers[p] = map[string]any{"title": fmt.Sprintf("burst %d %d", b, p), "authors": []string{authorOf(b, p)}}
+		}
+		body, err := json.Marshal(papers)
+		if err != nil {
+			return ack{err: err}
+		}
+		resp, err := http.Post(srv.URL+"/v1/papers", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return ack{err: err}
+		}
+		defer resp.Body.Close()
+		a.status, a.retry = resp.StatusCode, resp.Header.Get("Retry-After")
+		if a.status == 200 {
+			var out struct {
+				Assignments [][]slot `json:"assignments"`
+			}
+			a.err = json.NewDecoder(resp.Body).Decode(&out)
+			a.slots = out.Assignments
+		}
+		return a
+	}
+
+	const burst = 16
+	acks := make([]ack, burst)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for b := range acks {
+		wg.Add(1)
+		go func(b int) {
+			defer wg.Done()
+			<-start
+			acks[b] = post(b)
+		}(b)
+	}
+	close(start)
+	wg.Wait()
+
+	var acked, shed int64
+	for b, a := range acks {
+		switch {
+		case a.err != nil:
+			t.Fatalf("batch %d: %v", b, a.err)
+		case a.status == 200:
+			acked++
+			if len(a.slots) != batchPapers {
+				t.Fatalf("batch %d acked %d papers, want %d", b, len(a.slots), batchPapers)
+			}
+			for p, ss := range a.slots {
+				if len(ss) != 1 {
+					t.Fatalf("batch %d paper %d acked %d slots, want 1", b, p, len(ss))
+				}
+				resp, err := http.Get(fmt.Sprintf("%s/v1/resolve?paper=%d&index=%d", srv.URL, ss[0].Paper, ss[0].Index))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got struct {
+					Name string `json:"name"`
+				}
+				err = json.NewDecoder(resp.Body).Decode(&got)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != 200 || got.Name != authorOf(b, p) {
+					t.Fatalf("acked slot %+v resolves to %d %q (%v), want 200 %q", ss[0], resp.StatusCode, got.Name, err, authorOf(b, p))
+				}
+			}
+		case a.status == http.StatusTooManyRequests:
+			shed++
+			if a.retry != "1" {
+				t.Fatalf("batch %d: 429 with Retry-After %q, want \"1\"", b, a.retry)
+			}
+		default:
+			t.Fatalf("batch %d: status %d, want 200 or 429", b, a.status)
+		}
+	}
+	if acked == 0 || shed == 0 {
+		t.Fatalf("%d acked, %d shed: the burst must both progress and trip backpressure", acked, shed)
+	}
+	m := api.Metrics()
+	if m.HTTP.Status5xx != 0 || m.HTTP.Status429 != shed || m.Ingest.RejectedBatches != shed ||
+		m.Ingest.AdmittedBatches != acked || m.Ingest.Depth != 0 {
+		t.Fatalf("after the burst (%d acked, %d shed): http %+v, ingest %+v", acked, shed, m.HTTP, m.Ingest)
+	}
+
+	// Close while a batch is mid-publish: it must wait for that batch,
+	// which is then acked, not dropped.
+	select {
+	case <-publishing:
+	default:
+	}
+	last := make(chan ack, 1)
+	go func() { last <- post(burst) }()
+	<-publishing
+	if err := svc.Close(); err != nil {
+		t.Fatalf("Close with a batch in flight: %v", err)
+	}
+	if a := <-last; a.err != nil || a.status != 200 {
+		t.Fatalf("batch in flight at Close: status %d, %v", a.status, a.err)
+	}
+	if m := api.Metrics(); m.Ingest.Depth != 0 || m.Ingest.AdmittedBatches != acked+1 || m.HTTP.Status5xx != 0 {
+		t.Fatalf("after Close: http %+v, ingest %+v", m.HTTP, m.Ingest)
+	}
 }
 
 // TestPendingLifecycle pins the listen-first/recover-second contract:

@@ -153,7 +153,7 @@ type Stats struct {
 	MaxGroupBatches int64 `json:"max_group_batches"`
 
 	// QueueWait is admission → commit start; PublishLag is admission →
-	// batch durably published (the epoch-publish lag loadgen reports).
+	// batch durably published (the benchmark's ingestq.publish_lag_p50_us).
 	QueueWait  hdrhist.Summary `json:"queue_wait"`
 	PublishLag hdrhist.Summary `json:"publish_lag"`
 }

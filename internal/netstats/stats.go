@@ -65,8 +65,7 @@ type Clustering struct {
 }
 
 // Stats returns the precomputed whole-graph summary. The value is
-// computed once during Compile, so repeat calls are a struct copy —
-// the ≥10× epoch-cache win BENCH_network.json pins.
+// computed once during Compile, so repeat calls are a struct copy.
 func (g *Graph) Stats() NetworkStats { return g.stats }
 
 // ClusteringOf returns the local clustering summary of one vertex,

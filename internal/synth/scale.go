@@ -1,6 +1,6 @@
 // Corpus scaling: preset configurations for the labeled accuracy
 // scenario (10⁴–10⁶ papers) and the degree-distribution measurements the
-// scale-free property tests and BENCH_accuracy.json report.
+// scale-free property tests and cmd/experiments -run accuracy report.
 package synth
 
 import (

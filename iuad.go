@@ -83,12 +83,12 @@
 //
 // cmd/iuadserver exposes the same contract over HTTP (429 +
 // Retry-After, stable JSON error codes, SIGTERM drain-then-snapshot),
-// and cmd/loadgen drives an open-loop Zipf read/ingest workload
-// against it with SLO assertions — see DESIGN.md §12:
+// and go run ./bench starts that server as a child and drives it over
+// loopback with five read/ingest/recovery workloads, checking every
+// answer — see DESIGN.md §12 and bench/README.md:
 //
-//	iuadserver -synthetic -addr :8080 -journal /var/lib/iuad-wal -ingest-queue 256 &
-//	loadgen -url http://127.0.0.1:8080 -duration 10s -rate 200 \
-//	        -overload-rate 600 -ci -out load_report.json
+//	iuadserver -synthetic -addr :8080 -journal /var/lib/iuad-wal -ingest-queue 256
+//	go run ./bench --workload ingest-durable
 //
 // The lower-level batch API (Disambiguate returning a bare Pipeline)
 // remains for offline analysis — threshold sweeps, experiments,

@@ -767,8 +767,9 @@ func (s *Service) JournalRecovery() *ReplayReport { return s.jrec }
 func (s *Service) Shards() []core.ShardInfo { return s.pub.ShardInfos() }
 
 // Contention returns the cumulative write-path contention and copy
-// accounting (mutex wait, delta entries copied, flattens) — the
-// numbers cmd/benchjson -shard compares across shard counts.
+// accounting (mutex wait, delta entries copied, flattens) — what
+// /metrics serves as "contention" and the benchmark reports as
+// core.view.ingest_wait_ms, apply_wait_ms and flattens.
 func (s *Service) Contention() core.ContentionStats { return s.pub.Contention() }
 
 // Recovery reports what a partial snapshot load lost, or nil when the

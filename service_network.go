@@ -67,8 +67,7 @@ func (s *Service) analytics() (*core.View, *netstats.Graph) {
 // Network returns the published collaboration network's topology
 // summary. The first call on a fresh epoch compiles the analytics
 // graph (O(V + E·d) for the clustering sweep); repeat calls on the
-// same epoch are served from the cache with one atomic load — the
-// ≥10× win BENCH_network.json pins.
+// same epoch are served from the cache with one atomic load.
 func (s *Service) Network() NetworkStats {
 	_, g := s.analytics()
 	return g.Stats()
