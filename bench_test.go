@@ -174,6 +174,21 @@ func BenchmarkStage2GCN(b *testing.B) {
 	}
 }
 
+// BenchmarkTrainEmbeddings is the largest stage of a server cold start
+// on its own: the default SGNS fit on the 10,000-paper base library that
+// core's TestTrainEmbeddingsGolden pins. Run it at -cpu 1,2: the first
+// gives the step kernel alone, the second adds the sampler goroutine.
+func BenchmarkTrainEmbeddings(b *testing.B) {
+	corpus := synth.Generate(synth.ScaleConfig(24000, 1)).Corpus.Subset(10000)
+	cfg := core.DefaultConfig().Embedding
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		emb := core.TrainEmbeddings(corpus, cfg)
+		b.ReportMetric(float64(emb.Len()), "vocab")
+	}
+}
+
 // BenchmarkIncrementalWorkers measures the §V-E streaming path at
 // Workers=1 vs GOMAXPROCS (per-candidate scoring fans out for ambiguous
 // names).

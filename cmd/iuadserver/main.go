@@ -77,6 +77,7 @@ import (
 
 	"iuad"
 	"iuad/internal/httpapi"
+	"iuad/internal/sched"
 )
 
 func main() {
@@ -230,6 +231,26 @@ func openService(corpusPath, snapPath, journalDir string, workers, shards, compa
 		cfg.Embedding.Dim = 16
 		cfg.Embedding.Epochs = 2
 	}
+	// One line on where the fit's seconds went. The embedding fit is the
+	// largest stage of a cold start and the only one -workers cannot
+	// split; it uses a second processor when there is one.
+	var fit struct{ scn, embeddings, stage2 time.Duration }
+	cfg.StageHook = func(stage string, d time.Duration) {
+		switch stage {
+		case "scn":
+			fit.scn += d
+		case "embeddings":
+			fit.embeddings += d
+		default:
+			fit.stage2 += d
+		}
+	}
 	opts = append(opts, iuad.WithConfig(cfg))
-	return iuad.Open(corpus, opts...)
+	svc, err := iuad.Open(corpus, opts...)
+	if err == nil {
+		log.Printf("fit: scn %.3fs embeddings %.3fs stage2 %.3fs total %.3fs, workers %d",
+			fit.scn.Seconds(), fit.embeddings.Seconds(), fit.stage2.Seconds(),
+			(fit.scn + fit.embeddings + fit.stage2).Seconds(), sched.Workers(workers))
+	}
+	return svc, err
 }

@@ -154,11 +154,14 @@ type Config struct {
 	EMOptions emfit.Options
 
 	// StageHook, when non-nil, receives the wall time of each coarse
-	// stage-2 phase as it completes: "score-initial" (candidate pair
-	// enumeration + similarity vectors), "fit-prep" (vertex splitting and
-	// anchor sampling), "em-fit", "decision" (scoring + first merge), and
-	// "refine-round-N" per refinement round. Diagnostics only — it must
-	// not mutate pipeline state. Never serialized.
+	// phase of a fit as it completes. Run reports "scn" (stage 1) and
+	// "embeddings" (the SGNS fit behind γ³, the largest of them all);
+	// BuildGCN, and so Run after those two, reports the stage-2 phases:
+	// "score-initial" (candidate pair enumeration + similarity vectors),
+	// "fit-prep" (vertex splitting and anchor sampling), "em-fit",
+	// "decision" (scoring + first merge), and "refine-round-N" per
+	// refinement round. Diagnostics only — it must not mutate pipeline
+	// state. Never serialized.
 	StageHook func(stage string, d time.Duration) `json:"-"`
 
 	// RoundHook, when non-nil, observes the network after each stage-2

@@ -83,11 +83,14 @@ type ScoredPair struct {
 
 // Run executes the full two-stage IUAD algorithm (Alg. 1).
 func Run(corpus *bib.Corpus, cfg Config) (*Pipeline, error) {
+	lap := cfg.stageTimer()
 	scn, err := BuildSCN(corpus, cfg)
 	if err != nil {
 		return nil, err
 	}
+	lap("scn")
 	emb := TrainEmbeddings(corpus, cfg.Embedding)
+	lap("embeddings")
 	return BuildGCN(corpus, scn, emb, cfg)
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"testing"
+	"time"
 
 	"iuad/internal/bib"
 	"iuad/internal/eval"
@@ -143,6 +144,31 @@ func TestPipelineDeterministic(t *testing.T) {
 	for slot, v1 := range p1.GCN.SlotVertex {
 		if v2 := p2.GCN.SlotVertex[slot]; v1 != v2 {
 			t.Fatalf("slot %+v assigned differently: %d vs %d", slot, v1, v2)
+		}
+	}
+}
+
+// TestRunReportsEveryStage: a fit through Run laps stage 1 and the
+// embedding fit through StageHook, once each and before any stage-2
+// phase, so a caller that sums the hook's durations has the whole fit.
+func TestRunReportsEveryStage(t *testing.T) {
+	cfg := fastCoreConfig()
+	var stages []string
+	cfg.StageHook = func(stage string, d time.Duration) {
+		if d < 0 {
+			t.Errorf("stage %q took %v", stage, d)
+		}
+		stages = append(stages, stage)
+	}
+	if _, err := Run(testDataset(21).Corpus, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if len(stages) < 3 || stages[0] != "scn" || stages[1] != "embeddings" || stages[2] != "score-initial" {
+		t.Fatalf("stages %q, want scn, embeddings, score-initial, …", stages)
+	}
+	for _, s := range stages[2:] {
+		if s == "scn" || s == "embeddings" {
+			t.Fatalf("stages %q: %q reported twice", stages, s)
 		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 
 // EncodeSnapshot writes the trained embedding tables: dimensionality,
 // vocabulary (row order) and vectors as exact float32 bit patterns. The
-// index map and the cached vocabulary mean are rebuilt on decode (the
-// mean sums vectors in row order, so it round-trips bit for bit).
+// index map and the vocabulary mean are rebuilt on decode (the mean sums
+// vectors in row order, so it round-trips bit for bit).
 func (e *Embeddings) EncodeSnapshot(w *snapshot.Writer) {
 	w.Int(e.dim)
 	w.Strings(e.words)
@@ -50,7 +50,6 @@ func DecodeEmbeddingsSnapshot(r *snapshot.Reader) (*Embeddings, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	// Warm the lazy mean cache while single-threaded (see Train).
-	e.Mean()
+	e.mean = e.vocabularyMean()
 	return e, nil
 }

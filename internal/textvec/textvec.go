@@ -6,13 +6,34 @@
 // vectors on the corpus titles themselves (see DESIGN.md substitution 3).
 //
 // The trainer is deterministic for a fixed Config.Seed and uses no
-// dependencies beyond the standard library.
+// dependencies beyond the standard library. It runs in two stages that
+// together perform exactly the float32 operations, in exactly the order,
+// of the textbook loop (kept as trainReference in the tests):
+//
+//   - The sample stream (sample.go) draws every window width and every
+//     negative in the textbook order into plans of a few thousand steps.
+//     Draws depend on the seeded RNG and the encoded sentences only, never
+//     on the vectors, so the stream can run ahead of the model.
+//   - The step kernel (model.apply, below) consumes the plans. Within one
+//     (center, context) step the input vector is read-only until the step
+//     ends and each target's output row belongs to one pair only, so when
+//     the six targets of a default step are distinct their dot products
+//     are interleaved and their updates fused into one pass; a step with
+//     a repeated negative, or with any other target count, runs the
+//     textbook pair sequence.
+//
+// With more than one processor the stream fills plans on a goroutine that
+// Train starts and waits for; with one it alternates with the kernel on
+// the caller's goroutine. The vectors are the same bits either way, which
+// is why there is no option to choose.
 package textvec
 
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
 )
 
 // Config parameterizes SGNS training.
@@ -38,7 +59,7 @@ type Embeddings struct {
 	index map[string]int
 	vecs  [][]float32
 	words []string
-	mean  []float64 // cached by Train; see Mean
+	mean  []float64 // set once by Train and DecodeEmbeddingsSnapshot; see Mean
 }
 
 // Dim returns the vector dimensionality.
@@ -84,23 +105,29 @@ func (e *Embeddings) Centroid(words []string) []float64 {
 }
 
 // Mean returns the average of all vocabulary vectors — the "common
-// component" of the embedding space. SGNS vectors share a large common
-// direction (negative-sampling geometry), which saturates raw centroid
-// cosines near 1; subtracting the mean restores discrimination.
-func (e *Embeddings) Mean() []float64 {
-	if e.mean == nil && len(e.vecs) > 0 {
-		out := make([]float64, e.dim)
-		for _, v := range e.vecs {
-			for i, x := range v {
-				out[i] += float64(x)
-			}
-		}
-		for i := range out {
-			out[i] /= float64(len(e.vecs))
-		}
-		e.mean = out
+// component" of the embedding space — or nil for an empty vocabulary.
+// SGNS vectors share a large common direction (negative-sampling
+// geometry), which saturates raw centroid cosines near 1; subtracting the
+// mean restores discrimination. The returned slice is owned by the
+// Embeddings; do not mutate.
+func (e *Embeddings) Mean() []float64 { return e.mean }
+
+// vocabularyMean sums the vectors in row order, so Train and a snapshot
+// decode of the same vectors produce the same bits.
+func (e *Embeddings) vocabularyMean() []float64 {
+	if len(e.vecs) == 0 {
+		return nil
 	}
-	return e.mean
+	out := make([]float64, e.dim)
+	for _, v := range e.vecs {
+		for i, x := range v {
+			out[i] += float64(x)
+		}
+	}
+	for i := range out {
+		out[i] /= float64(len(e.vecs))
+	}
+	return out
 }
 
 // CenteredCentroid returns Centroid(words) minus the vocabulary mean —
@@ -220,19 +247,23 @@ func Train(sentences [][]string, cfg Config) *Embeddings {
 	}
 	v := len(e.words)
 	if v == 0 {
-		e.vecs = nil
 		return e
 	}
 
-	// Input and output vector tables.
+	// Flat v×Dim input and output tables; the rows of e.vecs are views
+	// of the input table.
+	m := &model{
+		dim:  cfg.Dim,
+		in:   make([]float32, v*cfg.Dim),
+		out:  make([]float32, v*cfg.Dim),
+		grad: make([]float32, cfg.Dim),
+	}
+	for i := range m.in {
+		m.in[i] = (rng.Float32() - 0.5) / float32(cfg.Dim)
+	}
 	e.vecs = make([][]float32, v)
-	out := make([][]float32, v)
-	for i := 0; i < v; i++ {
-		e.vecs[i] = make([]float32, cfg.Dim)
-		out[i] = make([]float32, cfg.Dim)
-		for d := 0; d < cfg.Dim; d++ {
-			e.vecs[i][d] = (rng.Float32() - 0.5) / float32(cfg.Dim)
-		}
+	for i := range e.vecs {
+		e.vecs[i] = m.in[i*cfg.Dim : (i+1)*cfg.Dim : (i+1)*cfg.Dim]
 	}
 
 	// Unigram^0.75 negative-sampling table (alias-free cumulative scan).
@@ -241,19 +272,6 @@ func Train(sentences [][]string, cfg Config) *Embeddings {
 	for i, k := range kept {
 		total += math.Pow(float64(k.c), 0.75)
 		cum[i] = total
-	}
-	sampleNeg := func() int {
-		r := rng.Float64() * total
-		lo, hi := 0, v-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if cum[mid] < r {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo
 	}
 
 	// Encode sentences once.
@@ -271,64 +289,165 @@ func Train(sentences [][]string, cfg Config) *Embeddings {
 			tokens += len(row)
 		}
 	}
-	// Warm the lazy mean cache while still single-threaded — on every
-	// return path, since concurrent CenteredCentroid callers would
-	// otherwise race on the first Mean() computation.
-	defer func() { e.Mean() }()
-	if tokens == 0 {
-		return e
+	if tokens > 0 {
+		// From here on the RNG belongs to the sample stream.
+		m.train(newSampler(rng, enc, tokens, cum, cfg))
 	}
-	steps := 0
-	totalSteps := cfg.Epochs * tokens
-	grad := make([]float32, cfg.Dim)
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		for _, row := range enc {
-			for pos, wid := range row {
-				steps++
-				lr := float32(cfg.LR * (1 - float64(steps)/float64(totalSteps+1)))
-				if lr < float32(cfg.LR)*0.01 {
-					lr = float32(cfg.LR) * 0.01
-				}
-				win := 1 + rng.Intn(cfg.Window)
-				for off := -win; off <= win; off++ {
-					cpos := pos + off
-					if off == 0 || cpos < 0 || cpos >= len(row) {
-						continue
-					}
-					ctx := int(row[cpos])
-					trainPair(e.vecs[wid], out[ctx], 1, lr, grad)
-					for n := 0; n < cfg.Negatives; n++ {
-						neg := sampleNeg()
-						if neg == ctx {
-							continue
-						}
-						trainPair(e.vecs[wid], out[neg], 0, lr, grad)
-					}
-					// Apply accumulated input-vector gradient.
-					vin := e.vecs[wid]
-					for d := range vin {
-						vin[d] += grad[d]
-						grad[d] = 0
-					}
-				}
+	e.mean = e.vocabularyMean()
+	return e
+}
+
+// model is the state the step kernel updates: the input and output
+// vector tables, flat with one Dim-long row per vocabulary word.
+type model struct {
+	dim     int
+	in, out []float32
+	grad    []float32 // input-gradient scratch of the textbook pair sequence; zero between steps
+}
+
+// plansInFlight is one plan being applied, one ready and one being
+// filled, so neither stage waits unless the other is a whole plan behind.
+const plansInFlight = 3
+
+// train applies every plan of the sample stream in order. The stream
+// never reads the model, so filling plans ahead of the kernel on another
+// goroutine cannot change a bit of the result; the goroutine has exited
+// when train returns.
+func (m *model) train(s *sampler) {
+	if runtime.GOMAXPROCS(0) == 1 {
+		p := s.newPlan()
+		for s.fill(p) {
+			m.apply(p)
+		}
+		return
+	}
+	free := make(chan *plan, plansInFlight) // holds every plan, so handing one back never blocks
+	for i := 0; i < plansInFlight; i++ {
+		free <- s.newPlan()
+	}
+	ready := make(chan *plan, 1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(ready)
+		for {
+			p := <-free
+			if !s.fill(p) {
+				return
 			}
+			ready <- p
+		}
+	}()
+	for p := range ready {
+		m.apply(p)
+		free <- p
+	}
+	wg.Wait()
+}
+
+// fusedTargets is the target count the fused step covers: the context
+// and the five negatives of every Config in this repository.
+const fusedTargets = 6
+
+// apply runs the steps of one plan against the model.
+func (m *model) apply(p *plan) {
+	targets := p.targets
+	for _, st := range p.steps {
+		tg := targets[:st.n]
+		targets = targets[st.n:]
+		vin := m.in[int(st.center)*m.dim:][:m.dim]
+		if st.distinct && len(tg) == fusedTargets {
+			m.fusedStep(vin, tg, st.lr)
+			continue
+		}
+		// The textbook sequence: the pairs one after another, each seeing
+		// the output rows the previous ones left.
+		for k, t := range tg {
+			label := float32(0)
+			if k == 0 {
+				label = 1
+			}
+			trainPair(vin, m.out[int(t)*m.dim:][:m.dim], label, st.lr, m.grad)
+		}
+		// Apply accumulated input-vector gradient.
+		for d := range vin {
+			vin[d] += m.grad[d]
+			m.grad[d] = 0
 		}
 	}
-	return e
+}
+
+// fusedStep is the textbook sequence of one step whose six targets
+// (tg[0] the context, the rest negatives) are distinct rows. vin is not
+// written before the end of a step, and with distinct targets no pair
+// reads an output row another pair wrote, so the six dot products can
+// be taken together, and every element of vin and of the six rows can
+// then be updated in one pass. Each element still sees the same float32
+// operations in the same order: six independent dot-product chains in
+// place of six consecutive ones, and the input gradient summed from
+// zero in target order.
+func (m *model) fusedStep(vin []float32, tg []int32, lr float32) {
+	dim := len(vin)
+	o0 := m.out[int(tg[0])*dim:][:dim]
+	o1 := m.out[int(tg[1])*dim:][:dim]
+	o2 := m.out[int(tg[2])*dim:][:dim]
+	o3 := m.out[int(tg[3])*dim:][:dim]
+	o4 := m.out[int(tg[4])*dim:][:dim]
+	o5 := m.out[int(tg[5])*dim:][:dim]
+	var d0, d1, d2, d3, d4, d5 float32
+	for d, x := range vin {
+		d0 += float32(x * o0[d])
+		d1 += float32(x * o1[d])
+		d2 += float32(x * o2[d])
+		d3 += float32(x * o3[d])
+		d4 += float32(x * o4[d])
+		d5 += float32(x * o5[d])
+	}
+	g0 := (1 - sigmoid(d0)) * lr
+	g1 := (0 - sigmoid(d1)) * lr
+	g2 := (0 - sigmoid(d2)) * lr
+	g3 := (0 - sigmoid(d3)) * lr
+	g4 := (0 - sigmoid(d4)) * lr
+	g5 := (0 - sigmoid(d5)) * lr
+	for d, x := range vin {
+		var grad float32
+		y := o0[d]
+		grad += float32(g0 * y)
+		o0[d] = y + float32(g0*x)
+		y = o1[d]
+		grad += float32(g1 * y)
+		o1[d] = y + float32(g1*x)
+		y = o2[d]
+		grad += float32(g2 * y)
+		o2[d] = y + float32(g2*x)
+		y = o3[d]
+		grad += float32(g3 * y)
+		o3[d] = y + float32(g3*x)
+		y = o4[d]
+		grad += float32(g4 * y)
+		o4[d] = y + float32(g4*x)
+		y = o5[d]
+		grad += float32(g5 * y)
+		o5[d] = y + float32(g5*x)
+		vin[d] = x + grad
+	}
 }
 
 // trainPair performs one SGD step on (input, output) with target label
 // (1 = observed context, 0 = negative sample), accumulating the input
-// gradient into grad and updating the output vector in place.
+// gradient into grad and updating the output vector in place. Products
+// are rounded to float32 before they are added (as in fusedStep), so an
+// architecture with fused multiply-add computes the same bits.
 func trainPair(vin, vout []float32, label float32, lr float32, grad []float32) {
 	var dot float32
 	for d := range vin {
-		dot += vin[d] * vout[d]
+		dot += float32(vin[d] * vout[d])
 	}
 	g := (label - sigmoid(dot)) * lr
 	for d := range vin {
-		grad[d] += g * vout[d]
-		vout[d] += g * vin[d]
+		grad[d] += float32(g * vout[d])
+		vout[d] += float32(g * vin[d])
 	}
 }
 
