@@ -35,8 +35,8 @@
 //	{"title": "...", "venue": "VLDB", "year": 2024, "authors": ["Wei Wang", ...]}
 //
 // A JSON array of records is ingested as ONE atomic batch: it is
-// admitted whole by the bounded ingest queue, group-committed with any
-// concurrently arriving batches into a single epoch publish, and
+// admitted whole by the bounded ingest queue, committed on its own as
+// one epoch publish (and one journal record under -journal), and
 // either every paper lands or none does. Overload is a first-class
 // answer, not a hang: past the queue's high-water mark (-ingest-queue)
 // the server responds 429 with a Retry-After header and the stable

@@ -8,7 +8,7 @@ import (
 )
 
 // OverloadedError is the backpressure rejection from the bounded
-// ingest queue (see WithIngestQueue): the batch was not admitted and
+// ingest queue (see WithIngestConfig): the batch was not admitted and
 // nothing was ingested. Carries the queue depth, the admission limit,
 // and the Retry-After hint that cmd/iuadserver surfaces as HTTP 429
 // with a Retry-After header. Match with errors.As.

@@ -74,6 +74,22 @@ type RecoveryReport struct {
 	DroppedPairs int `json:"dropped_pairs"`
 }
 
+// atomicTempPrefix starts the name of every WriteFileAtomic temp file.
+const atomicTempPrefix = ".iuad-snap-"
+
+// RemoveAtomicTemps deletes the temp files WriteFileAtomic leaves in
+// dir when the process dies between creating one and renaming it into
+// place (best-effort, like the stale-generation GC). Only the exclusive
+// owner of dir may call it: a live writer's temp file looks the same.
+func RemoveAtomicTemps(dir string) {
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasPrefix(e.Name(), atomicTempPrefix) {
+			os.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
+}
+
 // WriteFileAtomic writes a file crash-safely: temp file in the target
 // directory, fsync, rename, then fsync the directory so neither a
 // torn write nor a lost rename can damage a previously committed file.
@@ -85,7 +101,7 @@ func WriteFileAtomic(path string, write func(io.Writer) error) error {
 		return err
 	}
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".iuad-snap-*")
+	tmp, err := os.CreateTemp(dir, atomicTempPrefix+"*")
 	if err != nil {
 		return err
 	}

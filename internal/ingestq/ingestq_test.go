@@ -78,75 +78,53 @@ func TestSubmitCommitsSerially(t *testing.T) {
 	if st.AdmittedBatches != 2 || st.AdmittedPapers != 5 || st.Commits != 2 || st.Depth != 0 {
 		t.Fatalf("stats %+v", st)
 	}
+	if st.QueueWait.Count != 2 || st.PublishLag.Count != 2 || st.GroupedBatches != 0 {
+		t.Fatalf("latency counts %+v", st)
+	}
 	if nil2, err := q.Submit(context.Background(), nil); err != nil || nil2 != nil {
 		t.Fatalf("empty submit %+v, %v", nil2, err)
 	}
 }
 
-// TestGroupCommit pins the tentpole behavior: batches parked while a
-// commit is in flight are concatenated — in arrival order — into ONE
-// commit call, and each submitter gets exactly its own slice of the
-// results.
-func TestGroupCommit(t *testing.T) {
+// TestAckDoesNotWaitForLaterBatches: a Submit returns as soon as its
+// own commit does, even while a batch that queued behind it is still
+// committing — one batch, one commit, one ack.
+func TestAckDoesNotWaitForLaterBatches(t *testing.T) {
 	c := &seqCommitter{gate: make(chan struct{})}
 	q := New(c.commit, Config{})
+	defer close(c.gate)
 
-	type result struct {
-		res [][]core.Assignment
-		err error
-	}
-	leader := make(chan result, 1)
+	first := make(chan error, 1)
 	go func() {
-		res, err := q.Submit(context.Background(), mkPapers("leader", 2))
-		leader <- result{res, err}
+		_, err := q.Submit(context.Background(), mkPapers("a", 1))
+		first <- err
 	}()
-	// Wait until the leader's commit is actually running, then park
-	// three followers in deterministic arrival order.
 	waitFor(t, func() bool { return c.running.Load() == 1 })
-	followers := make([]chan result, 3)
-	for i := range followers {
-		followers[i] = make(chan result, 1)
-		tag := fmt.Sprintf("f%d", i)
-		n := i + 1 // 1, 2, 3 papers
-		waitDepth := q.Stats().Depth
-		go func(ch chan result) {
-			res, err := q.Submit(context.Background(), mkPapers(tag, n))
-			ch <- result{res, err}
-		}(followers[i])
-		waitFor(t, func() bool { return q.Stats().Depth > waitDepth })
-	}
+	second := make(chan error, 1)
+	go func() {
+		_, err := q.Submit(context.Background(), mkPapers("b", 1))
+		second <- err
+	}()
+	waitFor(t, func() bool { return q.Stats().Depth == 2 })
 
-	c.gate <- struct{}{} // release the leader's commit
-	c.gate <- struct{}{} // ... and the grouped follower commit
-	lr := <-leader
-	if lr.err != nil || len(lr.res) != 2 {
-		t.Fatalf("leader %+v", lr)
-	}
-	next := 2 // leader consumed sequence numbers 0,1
-	for i, ch := range followers {
-		fr := <-ch
-		if fr.err != nil || len(fr.res) != i+1 {
-			t.Fatalf("follower %d: %+v", i, fr)
+	c.gate <- struct{}{} // release A's commit only
+	select {
+	case err := <-first:
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, as := range fr.res {
-			if as[0].Vertex != next {
-				t.Fatalf("follower %d got sequence %d, want %d (arrival order broken)", i, as[0].Vertex, next)
-			}
-			next++
-		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("A's ack waited for B's commit")
 	}
-	if len(c.calls) != 2 {
-		t.Fatalf("%d commit calls, want 2 (1 leader + 1 group): %v", len(c.calls), c.calls)
+	waitFor(t, func() bool { return c.running.Load() == 1 }) // B's commit, gated
+	select {
+	case err := <-second:
+		t.Fatalf("B returned while its commit is gated: %v", err)
+	default:
 	}
-	if len(c.calls[1]) != 6 {
-		t.Fatalf("group commit carried %d papers, want 6: %v", len(c.calls[1]), c.calls[1])
-	}
-	st := q.Stats()
-	if st.Commits != 2 || st.GroupedBatches != 3 || st.MaxGroupBatches != 3 {
-		t.Fatalf("stats %+v", st)
-	}
-	if st.PublishLag.Count != 4 || st.QueueWait.Count != 4 {
-		t.Fatalf("latency counts %+v", st)
+	c.gate <- struct{}{}
+	if err := <-second; err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -235,7 +213,7 @@ func TestCancelWithdraws(t *testing.T) {
 	}()
 	waitFor(t, func() bool { return q.Stats().Depth == 3 })
 	cancel()
-	err := <-parked // must return without the leader ever finishing
+	err := <-parked // must return while the first commit is still gated
 	var ce *CanceledError
 	if !errors.As(err, &ce) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled submit = %v, want *CanceledError wrapping context.Canceled", err)
@@ -275,10 +253,10 @@ func TestAlreadyCancelled(t *testing.T) {
 	}
 }
 
-// TestCancelAfterScoopCommits: once the leader has scooped a batch
-// into a commit group, cancellation no longer withdraws it — the
-// batch publishes atomically and Submit reports the real result.
-func TestCancelAfterScoopCommits(t *testing.T) {
+// TestCancelAfterCommitStartsCommits: once a batch's commit has
+// started, cancellation no longer withdraws it — the batch publishes
+// atomically and Submit reports the real result.
+func TestCancelAfterCommitStartsCommits(t *testing.T) {
 	c := &seqCommitter{gate: make(chan struct{})}
 	q := New(c.commit, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -289,7 +267,7 @@ func TestCancelAfterScoopCommits(t *testing.T) {
 		defer close(done)
 		res, err = q.Submit(ctx, mkPapers("inflight", 2))
 	}()
-	waitFor(t, func() bool { return c.running.Load() == 1 }) // scooped: it IS the leader
+	waitFor(t, func() bool { return c.running.Load() == 1 }) // its commit is running
 	cancel()
 	close(c.gate)
 	<-done
@@ -335,62 +313,30 @@ func TestCloseDrains(t *testing.T) {
 }
 
 // TestPartialCommitErrorDistribution: when the committer fails
-// mid-group, waiters fully inside the committed prefix succeed, the
-// waiter cut by the boundary gets its prefix plus the error, and
-// waiters beyond it get the error alone.
+// mid-batch, Submit returns the committed prefix together with the
+// error, the failure is counted, and the batch leaves the queue.
 func TestPartialCommitErrorDistribution(t *testing.T) {
 	boom := errors.New("poison paper")
-	c := &seqCommitter{gate: make(chan struct{}), fail: func(title string) error {
-		if title == "w1-1" {
+	c := &seqCommitter{fail: func(title string) error {
+		if title == "w-1" {
 			return boom
 		}
 		return nil
 	}}
 	q := New(c.commit, Config{})
-	type result struct {
-		res [][]core.Assignment
-		err error
+	res, err := q.Submit(context.Background(), mkPapers("w", 3)) // poisoned at its 2nd paper
+	if !errors.Is(err, boom) || len(res) != 1 {
+		t.Fatalf("poisoned batch res=%d err=%v, want the 1-paper prefix and the error", len(res), err)
 	}
-	chans := make([]chan result, 4)
-	lead := make(chan result, 1)
-	go func() {
-		res, err := q.Submit(context.Background(), mkPapers("lead", 1))
-		lead <- result{res, err}
-	}()
-	waitFor(t, func() bool { return c.running.Load() == 1 })
-	for i, n := range []int{2, 2, 1} { // w0 ok, w1 poisoned at its 2nd paper, w2 starved
-		chans[i] = make(chan result, 1)
-		tag := fmt.Sprintf("w%d", i)
-		before := q.Stats().AdmittedBatches
-		go func(ch chan result, n int) {
-			res, err := q.Submit(context.Background(), mkPapers(tag, n))
-			ch <- result{res, err}
-		}(chans[i], n)
-		waitFor(t, func() bool { return q.Stats().AdmittedBatches > before })
-	}
-	close(c.gate)
-	if lr := <-lead; lr.err != nil {
-		t.Fatal(lr.err)
-	}
-	r0 := <-chans[0]
-	if r0.err != nil || len(r0.res) != 2 {
-		t.Fatalf("w0 (before the poison) %+v", r0)
-	}
-	r1 := <-chans[1]
-	if !errors.Is(r1.err, boom) || len(r1.res) != 1 {
-		t.Fatalf("w1 (cut by the poison) res=%d err=%v", len(r1.res), r1.err)
-	}
-	r2 := <-chans[2]
-	if !errors.Is(r2.err, boom) || len(r2.res) != 0 {
-		t.Fatalf("w2 (beyond the poison) res=%d err=%v", len(r2.res), r2.err)
+	if st := q.Stats(); st.Commits != 1 || st.FailedCommits != 1 || st.Depth != 0 {
+		t.Fatalf("stats %+v", st)
 	}
 }
 
 // TestConcurrentSubmitters is the -race exercise: many goroutines
 // hammer the queue; every admitted paper is committed exactly once,
 // commits never overlap (seqCommitter panics if they do), and each
-// batch's sequence numbers are contiguous (arrival order preserved
-// inside every group).
+// batch's sequence numbers are contiguous (one batch, one commit).
 func TestConcurrentSubmitters(t *testing.T) {
 	c := &seqCommitter{}
 	q := New(c.commit, Config{MaxQueued: 1 << 20}) // no shedding: count conservation

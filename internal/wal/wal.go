@@ -1,7 +1,7 @@
 // Package wal is the write-ahead batch journal behind crash-safe
-// continuous durability (DESIGN.md §14): every committed ingest group
-// — the post-group-commit batch that maps 1:1 to an epoch publish —
-// is appended as a length-prefixed, FNV-64a-checksummed record to a
+// continuous durability (DESIGN.md §14): every committed ingest batch
+// — one admitted batch, which maps 1:1 to an epoch publish — is
+// appended as a length-prefixed, FNV-64a-checksummed record to a
 // generation-numbered segment file, BEFORE the batch is applied in
 // memory or acked to the client. After a crash, Recover replays the
 // surviving records on top of the base snapshot and reproduces the
@@ -222,7 +222,7 @@ type AppendToken struct {
 
 // Journal is one process's handle on a journal directory. All methods
 // are safe for concurrent use; Append is typically called from one
-// commit leader at a time.
+// committer at a time.
 type Journal struct {
 	dir  string
 	cfg  Config
@@ -296,7 +296,7 @@ func BaseSnapshotPath(dir string) string { return filepath.Join(dir, "base.snap"
 // consumer (iuad.Service) saves and loads the base there.
 func (j *Journal) BasePath() string { return BaseSnapshotPath(j.dir) }
 
-// Append journals one committed ingest group as the record for epoch
+// Append journals one committed ingest batch as the record for epoch
 // (which must be the epoch the batch will publish as). It returns
 // only after the record is durable per the configured policy, so a
 // successful Append means recovery will replay the batch; an error

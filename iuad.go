@@ -50,14 +50,14 @@
 // with one atomic store. Open with WithSnapshot restores a saved
 // service with no EM re-run and bit-identical behavior.
 //
-// Ingest is admission-controlled: a bounded queue (WithIngestQueue)
-// group-commits concurrent batches into single epoch publishes —
-// bit-identical to serial ingest — and sheds load past its bound with
-// a typed, retryable error instead of queueing unboundedly. Batches
-// are atomic: they either commit whole or (on overload, cancellation,
-// or shutdown) leave no trace.
+// Ingest is admission-controlled: a bounded queue (WithIngestConfig)
+// commits concurrent batches one at a time, each as its own epoch
+// publish — bit-identical to serial ingest — and sheds load past its
+// bound with a typed, retryable error instead of queueing unboundedly.
+// Batches are atomic: they either commit whole or (on overload,
+// cancellation, or shutdown) leave no trace.
 //
-//	svc, err := iuad.Open(corpus, iuad.WithIngestQueue(256))
+//	svc, err := iuad.Open(corpus, iuad.WithIngestConfig(iuad.IngestConfig{MaxQueued: 256}))
 //	...
 //	if _, err := svc.AddPapers(ctx, batch); err != nil {
 //		var over *iuad.OverloadedError

@@ -52,7 +52,7 @@ type Service struct {
 	mu           sync.Mutex // serializes writers and pins snapshots
 	pl           *core.Pipeline
 	pub          *core.ViewPublisher
-	q            *ingestq.Queue  // admission control + group commit (DESIGN.md §12)
+	q            *ingestq.Queue  // admission control + commit turn (DESIGN.md §12)
 	net          *netstats.Cache // epoch-keyed analytics (DESIGN.md §13)
 	snapshotPath string
 	recovery     *core.RecoveryReport
@@ -173,19 +173,13 @@ func WithShards(n int) Option {
 	return func(o *options) { o.shards = n }
 }
 
-// WithIngestQueue bounds the ingest admission queue at maxQueued
-// papers (admitted but not yet committed; default 1024). Past the
-// bound AddPapers rejects immediately with *OverloadedError — the
+// WithIngestConfig configures the ingest admission queue: MaxQueued
+// bounds it in papers (admitted but not yet committed; default 1024)
+// and RetryAfter is the backoff hint (default 1s). Past the bound
+// AddPapers rejects immediately with *OverloadedError — the
 // backpressure signal HTTP servers map to 429 — so heap use under
-// overload stays bounded instead of queueing without limit. See
-// DESIGN.md §12.
-func WithIngestQueue(maxQueued int) Option {
-	return func(o *options) { o.ingest.MaxQueued = maxQueued }
-}
-
-// WithIngestConfig replaces the whole ingest-queue configuration
-// (admission bound, group-commit cap, Retry-After hint). Zero fields
-// take the defaults. WithIngestQueue is the common shorthand.
+// overload stays bounded instead of queueing without limit. Zero
+// fields take the defaults. See DESIGN.md §12.
 func WithIngestConfig(cfg ingestq.Config) Option {
 	return func(o *options) { o.ingest = cfg }
 }
@@ -270,6 +264,9 @@ func openJournaled(corpus *Corpus, o *options) (*Service, error) {
 			j.Close()
 		}
 	}()
+	// The lock makes the directory ours: a base write a crash cut short
+	// left its temp file behind, and no one else will delete it.
+	core.RemoveAtomicTemps(j.Dir())
 	base := j.BasePath()
 	pl, epoch, seeds, rep, err := core.OpenServiceSnapshot(base, o.allowPartial)
 	switch {
@@ -366,21 +363,21 @@ func (s *Service) AddPaper(ctx context.Context, p Paper) ([]Assignment, error) {
 // boundaries are a throughput choice, not a semantic one.
 //
 // The batch is atomic: it is validated up front and either publishes
-// whole — inside exactly one epoch, possibly shared with concurrent
-// batches via group commit (DESIGN.md §12) — or fails having ingested
-// nothing. Failure modes are typed:
+// whole — as exactly one epoch of its own, one journal record when
+// journaled (DESIGN.md §12) — or fails having ingested nothing.
+// Failure modes are typed:
 //
-//   - *OverloadedError: the bounded ingest queue (WithIngestQueue) is
+//   - *OverloadedError: the bounded ingest queue (WithIngestConfig) is
 //     past its high-water mark; retry after the hint. HTTP servers map
 //     this to 429 with a Retry-After header.
 //   - *CanceledError (unwrapping ctx.Err()): ctx was cancelled while
 //     the batch was still queued; it was withdrawn without ingesting
-//     anything and no epoch carries any part of it. Once the batch is
-//     taken by a commit it runs to completion even if ctx dies.
+//     anything and no epoch carries any part of it. Once the batch's
+//     commit has started it runs to completion even if ctx dies.
 //   - ErrClosed: Close has shut the write API down.
 func (s *Service) AddPapers(ctx context.Context, batch []Paper) ([][]Assignment, error) {
 	// Validate before admission so a malformed paper cannot fail a
-	// group commit mid-batch: admitted batches always commit whole.
+	// commit mid-batch: admitted batches always commit whole.
 	for i := range batch {
 		if err := batch[i].Validate(); err != nil {
 			return nil, fmt.Errorf("iuad: batch paper %d: %w", i, err)
@@ -394,12 +391,12 @@ func (s *Service) AddPapers(ctx context.Context, batch []Paper) ([][]Assignment,
 }
 
 // commitBatch is the ingest queue's CommitFunc: it applies one
-// (possibly group-concatenated) admitted batch under the write lock
-// and publishes it as one epoch. The queue calls it from exactly one
-// goroutine at a time — the current commit leader — which preserves
-// the serialized-ingest bit-identity contract. The batch is already
-// validated and past cancellation, so it runs with a background
-// context: an admitted batch publishes whole or not at all.
+// caller's admitted batch under the write lock as one journal record
+// and one epoch. The queue calls it from one goroutine at a time — the
+// holder of the commit turn — which preserves the serialized-ingest
+// bit-identity contract. The batch is already validated and past
+// cancellation, so it runs with a background context: an admitted
+// batch publishes whole or not at all.
 func (s *Service) commitBatch(batch []bib.Paper) ([][]core.Assignment, error) {
 	// Route first: raise the pending counters of the shards this
 	// batch's author names hash to, so /shards shows publish depth
@@ -414,7 +411,7 @@ func (s *Service) commitBatch(batch []bib.Paper) ([][]core.Assignment, error) {
 		return nil, ErrClosed
 	}
 	// Write-ahead: journal the batch BEFORE it touches memory. A
-	// failed append fails the whole group here — before the ack, with
+	// failed append fails the whole batch here — before the ack, with
 	// no in-memory mutation to unwind — so a batch is acked only if
 	// its journal record is durable per the configured policy.
 	var tok wal.AppendToken
@@ -430,8 +427,8 @@ func (s *Service) commitBatch(batch []bib.Paper) ([][]core.Assignment, error) {
 	if err != nil && len(res) == 0 && s.journal != nil {
 		// Nothing landed in memory: withdraw the record so recovery
 		// cannot replay a batch this process never applied. (With a
-		// committed prefix the record must stay — the prefix's waiters
-		// are acked; up-front validation makes that path unreachable
+		// committed prefix the record must stay — the prefix is in
+		// memory; up-front validation makes that path unreachable
 		// for admitted batches.)
 		s.journal.Rollback(tok)
 	}
@@ -559,8 +556,8 @@ func (s *Service) compactHeld() (err error) {
 }
 
 // Ingest returns the ingest queue's accounting: current depth against
-// the admission bound, admitted/rejected/canceled counters, group
-// commit sizes, and queue-wait / publish-lag latency summaries.
+// the admission bound, admitted/rejected/canceled/commit counters, and
+// queue-wait / publish-lag latency summaries.
 func (s *Service) Ingest() ingestq.Stats { return s.q.Stats() }
 
 // Stats returns the sizes of the currently published epoch.

@@ -465,7 +465,9 @@ func TestJournalReplayFaultFailsOpen(t *testing.T) {
 
 // TestJournalCloseCompactsCleanReopen: Close compacts, so a clean
 // shutdown leaves a base snapshot and an empty journal — the successor
-// opens with zero replay and the identical query surface.
+// opens with zero replay and the identical query surface. The reopen
+// also deletes the temp file a base write killed before its rename
+// leaves behind, and nothing else.
 func TestJournalCloseCompactsCleanReopen(t *testing.T) {
 	d := serviceDataset(103)
 	jdir := t.TempDir()
@@ -488,6 +490,12 @@ func TestJournalCloseCompactsCleanReopen(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(jdir, "base.snap")); err != nil {
 		t.Fatalf("clean shutdown left no base snapshot: %v", err)
 	}
+	stray, unrelated := filepath.Join(jdir, ".iuad-snap-x"), filepath.Join(jdir, "notes.txt")
+	for _, p := range []string{stray, unrelated} {
+		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// No corpus needed: the base snapshot carries everything.
 	rec, err := iuad.Open(nil, iuad.WithJournal(jdir))
@@ -495,6 +503,12 @@ func TestJournalCloseCompactsCleanReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Close()
+	if _, err := os.Stat(stray); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("stray snapshot temp survived Open: %v", err)
+	}
+	if _, err := os.Stat(unrelated); err != nil {
+		t.Fatalf("Open removed an unrelated file: %v", err)
+	}
 	if rep := rec.JournalRecovery(); rep == nil || rep.Batches != 0 || rep.Segments != 0 {
 		t.Fatalf("clean reopen replayed %+v, want nothing", rep)
 	}

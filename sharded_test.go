@@ -160,11 +160,10 @@ func TestShardedSerialEquivalence(t *testing.T) {
 }
 
 // TestShardedConcurrentWriters drives concurrent AddPapers through a
-// sharded service (run under -race in CI). Group commit may fold
-// concurrent batches into one epoch, so the epoch count is bounded by
-// the batch count, not equal to it; what must hold for every
-// interleaving is that each epoch was published exactly once, every
-// acked paper is resolvable, and the pending counters return to zero.
+// sharded service (run under -race in CI). Every batch commits alone,
+// so for every interleaving the epoch equals the batch count and the
+// commit count, each epoch was published exactly once, every acked
+// paper is resolvable, and the pending counters return to zero.
 func TestShardedConcurrentWriters(t *testing.T) {
 	d := serviceDataset(59)
 	svc, err := iuad.Open(d.Corpus, iuad.WithConfig(equivCoreConfig(1)), iuad.WithShards(8))
@@ -206,8 +205,8 @@ func TestShardedConcurrentWriters(t *testing.T) {
 		}
 	}
 	epoch := svc.Epoch()
-	if epoch < 1 || epoch > writers*batchesPer {
-		t.Fatalf("epoch %d, want 1..%d (at most one per batch)", epoch, writers*batchesPer)
+	if commits := svc.Ingest().Commits; epoch != writers*batchesPer || uint64(commits) != epoch {
+		t.Fatalf("epoch %d, %d commits: want both %d (one per batch)", epoch, commits, writers*batchesPer)
 	}
 	for w := range acked {
 		if len(acked[w]) != 2*batchesPer {
