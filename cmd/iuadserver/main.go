@@ -9,7 +9,7 @@
 //
 //	GET  /healthz                      liveness (also reports the epoch)
 //	GET  /v1/stats                     published network sizes (incl. shard count)
-//	GET  /shards                       per-shard debug: epoch, slots, pending queue depth
+//	GET  /shards                       per-shard debug: epoch, publishes, authors, slots
 //	GET  /metrics                      ingest queue, contention, per-endpoint latency
 //	GET  /v1/authors?name=Wei+Wang     the homonym set of an exact name
 //	GET  /v1/authors/{id}              one author: name, papers, years, venues

@@ -51,16 +51,13 @@ func ShardOfName(name string, n int) int {
 
 // ShardInfo is the point-in-time summary of one shard, served by the
 // /shards debug endpoint: its last-touch epoch, how many publishes
-// touched it, the authors and assigned slots it owns, and the depth of
-// its pending ingest queue (batches routed to it but not yet
-// published).
+// touched it, and the authors and assigned slots it owns.
 type ShardInfo struct {
 	Shard     int    `json:"shard"`
 	Epoch     uint64 `json:"epoch"`
 	Publishes uint64 `json:"publishes"`
 	Authors   int    `json:"authors"`
 	Slots     int    `json:"slots"`
-	Pending   int64  `json:"pending"`
 }
 
 // ShardSeed restores one shard's serving counters (last-touch epoch and
@@ -72,23 +69,23 @@ type ShardSeed struct {
 	Publishes uint64
 }
 
-// ContentionStats is the write-path contention and copy accounting the
-// sharding work is measured by (the container is single-core, so the
-// win is mutex wait and allocation volume, not wall clock). All
+// ContentionStats is the write-path contention and copy accounting of
+// the view publisher: how long a commit waited for the service's write
+// lock, and how much base+delta state publishing re-copied. All
 // counters are cumulative since the publisher was built.
 type ContentionStats struct {
 	Shards int `json:"shards"`
-	// Publishes counts assembled epochs.
+	// Publishes counts published epochs.
 	Publishes int64 `json:"publishes"`
-	// IngestWaitNs is time writers spent waiting for the serialized
-	// core-ingest lock (unchanged by sharding; reported for honesty).
+	// IngestWaitNs is time commits spent waiting for the service's
+	// write lock. The commit turn already serializes commits, so this
+	// only counts waits behind a compaction's pin and cut, a Save or a
+	// Close.
 	IngestWaitNs int64 `json:"ingest_wait_ns"`
-	// ApplyWaitNs is time publish workers spent waiting for per-shard
-	// apply locks; AssembleWaitNs for the composite assembly lock.
-	// With one shard every batch serializes on the same apply lock;
-	// with N shards only batches touching the same name blocks do.
-	ApplyWaitNs    int64 `json:"apply_wait_ns"`
-	AssembleWaitNs int64 `json:"assemble_wait_ns"`
+	// ApplyWaitNs is always 0: publishes have one writer and take no
+	// lock of their own. The field stays because the benchmark reports
+	// it as core.view.apply_wait_ms.
+	ApplyWaitNs int64 `json:"apply_wait_ns"`
 	// DeltaEntriesCopied counts base+delta map entries re-copied at
 	// publish time; sharding shrinks it because only the touched
 	// shard's delta (≈1/N of the total) is copied per publish.

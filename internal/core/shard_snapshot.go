@@ -345,20 +345,30 @@ func writeComposite(path string, pl *Pipeline, epoch uint64, seeds []ShardSeed, 
 		return err
 	}
 
-	// Garbage-collect segment files of superseded generations
-	// (best-effort; stale files are harmless, just disk).
 	keep := make(map[string]bool, n)
 	for sh := range segs {
 		keep[segs[sh].name] = true
 	}
-	if entries, err := os.ReadDir(dir); err == nil {
-		for _, e := range entries {
-			if !e.IsDir() && !keep[e.Name()] && isSegmentFileName(base, e.Name()) {
-				os.Remove(filepath.Join(dir, e.Name()))
-			}
+	removeStaleSegments(path, keep)
+	return nil
+}
+
+// removeStaleSegments deletes every segment file of the snapshot at
+// path that keep does not name — the superseded generations of a
+// composite, or all of them once a single-file save replaced it. Call
+// it after the save's commit rename (best-effort; stale files are
+// harmless, just disk).
+func removeStaleSegments(path string, keep map[string]bool) {
+	dir, base := filepath.Dir(path), filepath.Base(path)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, e := range entries {
+		if !e.IsDir() && !keep[e.Name()] && isSegmentFileName(base, e.Name()) {
+			os.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
-	return nil
 }
 
 // segMeta is one manifest segment descriptor.

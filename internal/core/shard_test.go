@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 )
 
 // TestShardOfName pins the placement function: deterministic, in
@@ -190,53 +189,5 @@ func TestShardedPublishEquivalence(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestCaptureApplySequencing pins the deterministic publish order: an
-// Apply arriving before its predecessor must wait for it, and the
-// assembled epochs come out in capture order.
-func TestCaptureApplySequencing(t *testing.T) {
-	d := testDataset(23)
-	pl, err := Run(d.Corpus, fastCoreConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	vp := NewViewPublisher(pl, 0)
-	b1 := streamBatch(d, 2)
-	res1, err := pl.AddPapers(context.Background(), b1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1 := vp.Capture(res1)
-	b2 := streamBatch(d, 4)[2:]
-	res2, err := pl.AddPapers(context.Background(), b2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := vp.Capture(res2)
-	if c1.Epoch() != 1 || c2.Epoch() != 2 {
-		t.Fatalf("capture epochs %d, %d", c1.Epoch(), c2.Epoch())
-	}
-
-	done2 := make(chan *View)
-	go func() { done2 <- vp.Apply(c2) }()
-	time.Sleep(20 * time.Millisecond) // give Apply(c2) time to reach its wait
-	select {
-	case <-done2:
-		t.Fatal("Apply(c2) completed before Apply(c1)")
-	default:
-	}
-	v1 := vp.Apply(c1)
-	v2 := <-done2
-	if v1.Epoch() != 1 || v2.Epoch() != 2 {
-		t.Fatalf("applied epochs %d, %d", v1.Epoch(), v2.Epoch())
-	}
-	if cur := vp.Current(); cur.Epoch() != 2 {
-		t.Fatalf("current epoch %d after both applies", cur.Epoch())
-	}
-	vp.Sync(2)
-	if got := vp.Contention().Publishes; got != 2 {
-		t.Fatalf("publishes %d, want 2", got)
 	}
 }

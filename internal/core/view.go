@@ -1,9 +1,7 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"iuad/internal/bib"
 	"iuad/internal/faultinject"
@@ -27,22 +25,16 @@ import (
 //
 // Concurrency contract. A View is deeply immutable: once published,
 // none of its reachable state is ever written again, so any number of
-// goroutines may query it while writers keep mutating the pipeline and
-// publishing later epochs. Publishing is pipelined in three stages:
-//
-//   1. Capture — under the service's serialized write lock, right
-//      after core ingest: appends the spine columns and snapshots the
-//      write's touch set (COW paper-set headers, materialized
-//      coauthor lists, per-shard sequence numbers, stats). O(touch).
-//   2. Apply — outside the write lock: folds the capture into each
-//      touched shard's base+delta state under that shard's own lock,
-//      ordered by the per-shard sequence number. Batches touching
-//      disjoint name blocks apply concurrently without contention;
-//      only same-shard batches serialize here.
-//   3. Assemble — under the (short) assembly lock, ordered by epoch:
-//      swaps the touched shard pointers into a copy of the previous
-//      composite and publishes it with one atomic store, so readers
-//      never observe a torn epoch.
+// goroutines may query it while the writer keeps mutating the pipeline
+// and publishing later epochs. The ViewPublisher has ONE writer: the
+// owning service publishes under its write lock, inside the ingest
+// queue's commit turn, so two publishes never overlap and epochs are
+// published in order by construction. A publish captures the write's
+// touch set (COW paper-set headers, materialized coauthor lists),
+// folds it into each touched shard's base+delta state, and swaps the
+// touched shard pointers into a copy of the previous composite, which
+// it publishes with one atomic store, so readers never observe a torn
+// epoch.
 //
 // Three sharing disciplines make publishing cheap without breaking
 // immutability:
@@ -261,24 +253,11 @@ const (
 	flattenDiv = 4
 )
 
-// publisherShard is the write-side state of one shard: its apply lock
-// and sequencing, the latest built shardView, the owned-count columns
-// grown at capture time, and the pending-ingest gauge.
+// publisherShard is the writer's count of one shard's owned vertices
+// and assigned slots, grown at capture time.
 type publisherShard struct {
-	mu      sync.Mutex
-	cond    *sync.Cond // signals applied under mu
-	applied uint64     // last per-shard sequence applied (under mu)
-	cur     *shardView // latest built view of this shard (under mu)
-
-	// seq/authors/slots are owned by the capture path (the service's
-	// write lock); they are snapshotted into each shardTouch so apply
-	// never reads them.
-	seq     uint64
 	authors int
 	slots   int
-
-	// pending gauges routed-but-unpublished batches (lock-free).
-	pending atomic.Int64
 }
 
 // nameEntry records one vertex created by a capture, for the owning
@@ -300,49 +279,27 @@ type vertTouch struct {
 // shardTouch is the slice of one capture destined for one shard.
 type shardTouch struct {
 	shard    int
-	seq      uint64 // per-shard apply order
-	epoch    uint64 // global epoch of the capture
-	authors  int    // owned vertices after this batch
-	slots    int    // owned assigned slots after this batch
 	newNames []nameEntry
 	verts    []vertTouch
 }
 
-// PublishCapture is the immutable snapshot of one write batch taken
-// under the write lock by Capture; Apply turns it into a published
-// View without holding that lock.
+// PublishCapture is one write batch's touch set, taken by Capture and
+// turned into a published View by Apply.
 type PublishCapture struct {
-	epoch uint64
-	stats ServiceStats
-	extra []bib.Paper
-
-	slotOff   []int32
-	slotVert  []int32
-	names     []string
-	nameIDs   []intern.ID
-	isolated  []bool
-	vertShard []uint8
-	vertRank  []int32
-
+	epoch   uint64
 	touches []*shardTouch // ascending shard index
 }
 
-// Epoch returns the epoch this capture publishes.
-func (c *PublishCapture) Epoch() uint64 { return c.epoch }
-
 // ViewPublisher derives Views from a pipeline, sharded by name block.
-// Capture must run under the owning service's write lock (it reads
-// pipeline state and appends the spine); Apply may run concurrently
-// from many goroutines — per-shard locks and sequence numbers keep
-// application ordered per shard and the assembly lock keeps the
-// composite swap ordered per epoch.
+// It has a single writer — Publish, Capture and Apply must never run
+// concurrently with each other or with pipeline ingest — while Current,
+// ShardInfos and Contention are safe from any goroutine.
 type ViewPublisher struct {
 	pl  *Pipeline
 	n   int // shard count
 	cur atomic.Pointer[View]
 
-	// Append-only spine builders (Views hold length-bounded headers);
-	// owned by the capture path.
+	// Append-only spine builders (Views hold length-bounded headers).
 	slotOff   []int32
 	slotVert  []int32
 	names     []string
@@ -351,21 +308,15 @@ type ViewPublisher struct {
 	vertShard []uint8
 	vertRank  []int32
 
-	epoch uint64 // last captured epoch (owned by the capture path)
+	epoch uint64 // last captured epoch
 
 	shards []publisherShard
 
-	amu       sync.Mutex // orders composite assembly by epoch
-	acond     *sync.Cond
-	assembled uint64 // last epoch assembled (under amu)
-
 	// Contention and copy accounting (see ContentionStats).
-	ingestWaitNs   atomic.Int64
-	applyWaitNs    atomic.Int64
-	assembleWaitNs atomic.Int64
-	publishes      atomic.Int64
-	deltaCopied    atomic.Int64
-	flattens       atomic.Int64
+	ingestWaitNs atomic.Int64
+	publishes    atomic.Int64
+	deltaCopied  atomic.Int64
+	flattens     atomic.Int64
 }
 
 // NewViewPublisher builds the initial unsharded (N=1) view of pl at
@@ -383,13 +334,7 @@ func NewViewPublisher(pl *Pipeline, epoch uint64) *ViewPublisher {
 // touch set.
 func NewShardedViewPublisher(pl *Pipeline, epoch uint64, shards int, seeds []ShardSeed) *ViewPublisher {
 	n := NormShards(shards)
-	vp := &ViewPublisher{pl: pl, n: n, epoch: epoch, assembled: epoch}
-	vp.acond = sync.NewCond(&vp.amu)
-	vp.shards = make([]publisherShard, n)
-	for i := range vp.shards {
-		ps := &vp.shards[i]
-		ps.cond = sync.NewCond(&ps.mu)
-	}
+	vp := &ViewPublisher{pl: pl, n: n, epoch: epoch, shards: make([]publisherShard, n)}
 
 	gcn := pl.GCN
 	nVerts := len(gcn.Verts)
@@ -473,22 +418,8 @@ func NewShardedViewPublisher(pl *Pipeline, epoch uint64, shards int, seeds []Sha
 			views[sh].epoch = seeds[sh].Epoch
 			views[sh].pubs = seeds[sh].Publishes
 		}
-		vp.shards[sh].cur = views[sh]
 	}
-
-	vp.cur.Store(&View{
-		stats:     vp.statsAt(epoch),
-		corpus:    pl.Corpus,
-		extra:     pl.extra,
-		slotOff:   vp.slotOff,
-		slotVert:  vp.slotVert,
-		names:     vp.names,
-		nameIDs:   vp.nameIDs,
-		isolated:  vp.isolated,
-		vertShard: vp.vertShard,
-		vertRank:  vp.vertRank,
-		shards:    views,
-	})
+	vp.cur.Store(vp.view(epoch, views))
 	return vp
 }
 
@@ -498,30 +429,24 @@ func (vp *ViewPublisher) Current() *View { return vp.cur.Load() }
 // Shards returns the shard count.
 func (vp *ViewPublisher) Shards() int { return vp.n }
 
-// CapturedEpoch returns the epoch of the last capture (≥ the published
-// epoch while applies are in flight). Must be called under the
-// service's write lock.
+// CapturedEpoch returns the epoch of the last capture — the published
+// epoch whenever no Capture awaits its Apply. Writer only.
 func (vp *ViewPublisher) CapturedEpoch() uint64 { return vp.epoch }
 
-// Publish folds one write batch into a fresh immutable View
-// synchronously: Capture + Apply back to back. It is the single-writer
-// convenience used by tests and non-concurrent callers; services that
-// want contention-free publishing call Capture under their write lock
-// and Apply after releasing it.
+// Publish folds one write batch into a fresh immutable View and
+// publishes it: Capture + Apply back to back. Writer only.
 func (vp *ViewPublisher) Publish(batches [][]Assignment) *View {
 	return vp.Apply(vp.Capture(batches))
 }
 
 // Capture snapshots one write batch — the assignments AddPapers
-// returned — under the service's write lock. It must be called with
-// the assignments of every paper ingested since the previous Capture,
-// in ingest order; the write's touch set is exactly the assigned
-// vertices (papers and edges only ever change there), so that is all
-// it copies. The returned capture is self-contained: Apply needs no
-// further access to writer-owned state.
+// returned — and appends its papers and vertices to the spine. It must
+// be called with the assignments of every paper ingested since the
+// previous Capture, in ingest order; the write's touch set is exactly
+// the assigned vertices (papers and edges only ever change there), so
+// that is all it copies. Writer only; Apply applies the last Capture.
 func (vp *ViewPublisher) Capture(batches [][]Assignment) *PublishCapture {
-	pl := vp.pl
-	gcn := pl.GCN
+	gcn := vp.pl.GCN
 	vp.epoch++
 	c := &PublishCapture{epoch: vp.epoch}
 
@@ -588,64 +513,42 @@ func (vp *ViewPublisher) Capture(batches [][]Assignment) *PublishCapture {
 
 	c.touches = make([]*shardTouch, 0, len(touched))
 	for sh := 0; sh < vp.n && len(c.touches) < len(touched); sh++ {
-		t, ok := touched[sh]
-		if !ok {
-			continue
+		if t, ok := touched[sh]; ok {
+			c.touches = append(c.touches, t)
 		}
-		ps := &vp.shards[sh]
-		ps.seq++
-		t.seq = ps.seq
-		t.epoch = c.epoch
-		t.authors = ps.authors
-		t.slots = ps.slots
-		c.touches = append(c.touches, t)
 	}
-
-	c.stats = vp.statsAt(c.epoch)
-	c.extra = pl.extra
-	c.slotOff = vp.slotOff
-	c.slotVert = vp.slotVert
-	c.names = vp.names
-	c.nameIDs = vp.nameIDs
-	c.isolated = vp.isolated
-	c.vertShard = vp.vertShard
-	c.vertRank = vp.vertRank
 	return c
 }
 
-// Apply folds a capture into the touched shards (per-shard locks,
-// ordered by per-shard sequence) and assembles + publishes the
-// composite view (assembly lock, ordered by epoch). Safe to call from
-// any goroutine; it does not touch writer-owned state.
+// Apply folds a capture into the touched shards and publishes the
+// composite view with one atomic store. Writer only; Apply applies the
+// last Capture.
 func (vp *ViewPublisher) Apply(c *PublishCapture) *View {
-	built := make([]*shardView, len(c.touches))
-	for i, t := range c.touches {
-		built[i] = vp.applyShard(t)
+	prev := vp.cur.Load()
+	shards := make([]*shardView, len(prev.shards))
+	copy(shards, prev.shards)
+	for _, t := range c.touches {
+		shards[t.shard] = vp.applyShard(prev.shards[t.shard], t, c.epoch)
 	}
-	return vp.assemble(c, built)
+	// Chaos point: delays every epoch publish before the composite is
+	// swapped in — the injected "publish is slow" fault the ingest
+	// queue must absorb by shedding load, not by growing unboundedly.
+	faultinject.Fire(faultinject.PublishDelay)
+	v := vp.view(c.epoch, shards)
+	vp.cur.Store(v)
+	vp.publishes.Add(1)
+	return v
 }
 
-// applyShard builds the touched shard's next immutable shardView from
-// its previous one plus the capture's slice, under the shard's lock.
-func (vp *ViewPublisher) applyShard(t *shardTouch) *shardView {
+// applyShard builds a touched shard's next immutable shardView from its
+// previous one plus the capture's slice.
+func (vp *ViewPublisher) applyShard(prev *shardView, t *shardTouch, epoch uint64) *shardView {
 	ps := &vp.shards[t.shard]
-	start := time.Now()
-	ps.mu.Lock()
-	vp.applyWaitNs.Add(int64(time.Since(start)))
-	for ps.applied+1 != t.seq {
-		ps.cond.Wait()
-	}
-	// Chaos point: a stalled hook here is the "slow shard" — it holds
-	// this shard's apply lock (queueing same-shard publishes behind
-	// it) while readers, who never take shard locks, keep serving the
-	// last published composite.
-	faultinject.Fire(faultinject.ShardApplyStall)
-	prev := ps.cur
 	next := &shardView{
-		epoch:       t.epoch,
+		epoch:       epoch,
 		pubs:        prev.pubs + 1,
-		authors:     t.authors,
-		slots:       t.slots,
+		authors:     ps.authors,
+		slots:       ps.slots,
 		papersBase:  prev.papersBase,
 		papersDelta: prev.papersDelta,
 		coauthBase:  prev.coauthBase,
@@ -685,97 +588,24 @@ func (vp *ViewPublisher) applyShard(t *shardTouch) *shardView {
 		next.papersDelta, next.coauthDelta = pd, cd
 	}
 	vp.flattenShard(next)
-	ps.cur = next
-	ps.applied = t.seq
-	ps.cond.Broadcast()
-	ps.mu.Unlock()
 	return next
 }
 
-// assemble swaps the freshly built shard views into a copy of the
-// previous composite and publishes it, in epoch order, with the atomic
-// store inside the critical section so a later epoch can never be
-// overwritten by an earlier one.
-func (vp *ViewPublisher) assemble(c *PublishCapture, built []*shardView) *View {
-	// Chaos point: delays every epoch publish before any assembly
-	// lock is taken — the injected "publish is slow" fault the ingest
-	// queue must absorb by shedding load, not by growing unboundedly.
-	faultinject.Fire(faultinject.PublishDelay)
-	start := time.Now()
-	vp.amu.Lock()
-	vp.assembleWaitNs.Add(int64(time.Since(start)))
-	for vp.assembled+1 != c.epoch {
-		vp.acond.Wait()
-	}
-	prev := vp.cur.Load()
-	shards := make([]*shardView, len(prev.shards))
-	copy(shards, prev.shards)
-	for i, t := range c.touches {
-		shards[t.shard] = built[i]
-	}
-	v := &View{
-		stats:     c.stats,
+// view builds the composite View of the writer's current spine at
+// epoch over the given shard views.
+func (vp *ViewPublisher) view(epoch uint64, shards []*shardView) *View {
+	return &View{
+		stats:     vp.statsAt(epoch),
 		corpus:    vp.pl.Corpus,
-		extra:     c.extra,
-		slotOff:   c.slotOff,
-		slotVert:  c.slotVert,
-		names:     c.names,
-		nameIDs:   c.nameIDs,
-		isolated:  c.isolated,
-		vertShard: c.vertShard,
-		vertRank:  c.vertRank,
+		extra:     vp.pl.extra,
+		slotOff:   vp.slotOff,
+		slotVert:  vp.slotVert,
+		names:     vp.names,
+		nameIDs:   vp.nameIDs,
+		isolated:  vp.isolated,
+		vertShard: vp.vertShard,
+		vertRank:  vp.vertRank,
 		shards:    shards,
-	}
-	vp.cur.Store(v)
-	vp.publishes.Add(1)
-	vp.assembled = c.epoch
-	vp.acond.Broadcast()
-	vp.amu.Unlock()
-	return v
-}
-
-// Sync blocks until every capture up to epoch has been assembled and
-// published — the barrier snapshotting uses so per-shard counters in
-// the manifest match the saved pipeline state.
-func (vp *ViewPublisher) Sync(epoch uint64) {
-	vp.amu.Lock()
-	for vp.assembled < epoch {
-		vp.acond.Wait()
-	}
-	vp.amu.Unlock()
-}
-
-// RouteBegin routes a batch: it computes the set of shards the batch's
-// author names hash to and raises their pending gauges (lock-free),
-// returning the function that lowers them once the batch is published
-// (or abandoned). The per-shard count is the number of the batch's
-// papers touching that shard.
-func (vp *ViewPublisher) RouteBegin(batch []bib.Paper) func() {
-	if len(batch) == 0 {
-		return func() {}
-	}
-	counts := make([]int64, vp.n)
-	mark := make([]int, vp.n)
-	for pi := range batch {
-		for _, name := range batch[pi].Authors {
-			sh := ShardOfName(name, vp.n)
-			if mark[sh] != pi+1 {
-				mark[sh] = pi + 1
-				counts[sh]++
-			}
-		}
-	}
-	for sh, cnt := range counts {
-		if cnt > 0 {
-			vp.shards[sh].pending.Add(cnt)
-		}
-	}
-	return func() {
-		for sh, cnt := range counts {
-			if cnt > 0 {
-				vp.shards[sh].pending.Add(-cnt)
-			}
-		}
 	}
 }
 
@@ -791,14 +621,13 @@ func (vp *ViewPublisher) ShardInfos() []ShardInfo {
 			Publishes: sv.pubs,
 			Authors:   sv.authors,
 			Slots:     sv.slots,
-			Pending:   vp.shards[i].pending.Load(),
 		}
 	}
 	return out
 }
 
-// AddIngestWait accrues time a writer spent waiting for the serialized
-// core-ingest lock (reported in ContentionStats).
+// AddIngestWait accrues time a writer spent waiting for the service's
+// write lock (reported in ContentionStats).
 func (vp *ViewPublisher) AddIngestWait(ns int64) { vp.ingestWaitNs.Add(ns) }
 
 // Contention returns the cumulative write-path contention and copy
@@ -808,15 +637,12 @@ func (vp *ViewPublisher) Contention() ContentionStats {
 		Shards:             vp.n,
 		Publishes:          vp.publishes.Load(),
 		IngestWaitNs:       vp.ingestWaitNs.Load(),
-		ApplyWaitNs:        vp.applyWaitNs.Load(),
-		AssembleWaitNs:     vp.assembleWaitNs.Load(),
 		DeltaEntriesCopied: vp.deltaCopied.Load(),
 		Flattens:           vp.flattens.Load(),
 	}
 }
 
-// statsAt reads the pipeline's current sizes (capture path; requires
-// the service's write lock).
+// statsAt reads the pipeline's current sizes. Writer only.
 func (vp *ViewPublisher) statsAt(epoch uint64) ServiceStats {
 	pl := vp.pl
 	return ServiceStats{

@@ -29,12 +29,11 @@ type BasePin struct {
 	tails [3][]string // name, venue, word
 }
 
-// Pin waits for the captured epoch to be published and pins it. It
-// must run under the owning service's write lock — that is what keeps
-// the tails and the view at the same epoch — and is O(1) apart from
-// the wait for an in-flight Apply.
+// Pin pins the published epoch. It must run under the owning
+// service's write lock, which the writer holds across every ingest and
+// publish — that is what keeps the tails and the view at the same
+// epoch. O(1).
 func (vp *ViewPublisher) Pin() *BasePin {
-	vp.Sync(vp.epoch)
 	c := vp.pl.Corpus
 	return &BasePin{
 		pl:    vp.pl,
@@ -68,7 +67,11 @@ func (p *BasePin) SaveFile(path string) error {
 	v := p.view
 	dead := v.deadVertices()
 	if len(v.shards) == 1 && len(dead) == 0 {
-		return WriteFileAtomic(path, p.Encode)
+		if err := WriteFileAtomic(path, p.Encode); err != nil {
+			return err
+		}
+		removeStaleSegments(path, nil)
+		return nil
 	}
 	segs := make([]shardSegment, len(v.shards))
 	seeds := make([]ShardSeed, len(v.shards))

@@ -1,7 +1,7 @@
 // Package faultinject is the chaos layer of the serving stack: named
 // fault points compiled into the production code paths, disarmed by
 // default, that tests arm with hooks to inject publish delays,
-// snapshot-write errors, and slow-shard apply stalls.
+// snapshot-write errors, and journal append, fsync and replay faults.
 //
 // The design goal is a hot path that costs one atomic load when
 // nothing is armed (the common case — production and every
@@ -13,7 +13,7 @@
 //
 // Chaos tests arm a point and get a disarm func back:
 //
-//	defer faultinject.Arm(faultinject.ShardApplyStall, func() error {
+//	defer faultinject.Arm(faultinject.PublishDelay, func() error {
 //		<-gate // hold the publish pipeline open
 //		return nil
 //	})()
@@ -30,16 +30,11 @@ import "sync/atomic"
 type Point int32
 
 const (
-	// PublishDelay fires in ViewPublisher.assemble before the epoch's
+	// PublishDelay fires in ViewPublisher.Apply before the epoch's
 	// composite view is built and swapped in — a hook here delays
 	// every epoch publish (and, transitively, backs the ingest queue
 	// up) without holding any lock readers could touch.
 	PublishDelay Point = iota
-
-	// ShardApplyStall fires inside ViewPublisher.applyShard while the
-	// shard's apply lock is held — the "slow shard" fault: same-shard
-	// publishes queue behind it, reads stay lock-free.
-	ShardApplyStall
 
 	// SnapshotWrite fires at the head of every crash-safe snapshot
 	// file write (WriteFileAtomic); a non-nil hook error aborts the

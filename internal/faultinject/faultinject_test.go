@@ -59,13 +59,13 @@ func TestConcurrentFire(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					Fire(ShardApplyStall)
+					Fire(PublishDelay)
 				}
 			}
 		}()
 	}
 	for i := 0; i < 200; i++ {
-		disarm := Arm(ShardApplyStall, func() error { return nil })
+		disarm := Arm(PublishDelay, func() error { return nil })
 		disarm()
 	}
 	close(stop)

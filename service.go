@@ -39,12 +39,12 @@ import (
 // # Sharding
 //
 // The serving state is partitioned by name block across N shards
-// (WithShards; see DESIGN.md §11). Core assignment stays serialized —
-// that is what makes results bit-identical for every shard count — but
-// the publish work of a write batch fans out to only the shards its
-// author names hash to, so unrelated name blocks never contend on one
-// writer's publish, and queries fan out lock-free over the shards'
-// immutable segments and merge deterministically.
+// (WithShards; see DESIGN.md §11). Core assignment and publishing stay
+// serialized — one commit at a time, which is what makes results
+// bit-identical for every shard count — but a write batch's publish
+// rebuilds only the shards its author names hash to, so its cost is
+// about 1/N of the unsharded one, and queries fan out lock-free over
+// the shards' immutable segments and merge deterministically.
 //
 // Construct a Service with Open (corpus in, fitted service out) or
 // NewService (wrap an already-fitted Pipeline).
@@ -299,8 +299,8 @@ func openJournaled(corpus *Corpus, o *options) (*Service, error) {
 }
 
 // replayBatch applies one journaled batch during recovery through the
-// same serialized ingest + capture/apply path a live commit takes.
-// No lock needed: recovery runs before the service is returned.
+// same serialized ingest + publish path a live commit takes. No lock
+// needed: recovery runs before the service is returned.
 func (s *Service) replayBatch(epoch uint64, batch []bib.Paper) error {
 	res, err := s.pl.AddPapers(context.Background(), batch)
 	if err != nil {
@@ -310,7 +310,7 @@ func (s *Service) replayBatch(epoch uint64, batch []bib.Paper) error {
 		return fmt.Errorf("iuad: journal batch publishes epoch %d, service expects %d", epoch, want)
 	}
 	if len(res) > 0 {
-		s.pub.Apply(s.pub.Capture(res))
+		s.pub.Publish(res)
 	}
 	return nil
 }
@@ -398,11 +398,6 @@ func (s *Service) AddPapers(ctx context.Context, batch []Paper) ([][]Assignment,
 // cancellation, so it runs with a background context: an admitted
 // batch publishes whole or not at all.
 func (s *Service) commitBatch(batch []bib.Paper) ([][]core.Assignment, error) {
-	// Route first: raise the pending counters of the shards this
-	// batch's author names hash to, so /shards shows publish depth
-	// while the batch waits for the serialized core-ingest lock.
-	done := s.pub.RouteBegin(batch)
-	defer done()
 	t0 := time.Now()
 	s.mu.Lock()
 	s.pub.AddIngestWait(time.Since(t0).Nanoseconds())
@@ -432,20 +427,14 @@ func (s *Service) commitBatch(batch []bib.Paper) ([][]core.Assignment, error) {
 		// for admitted batches.)
 		s.journal.Rollback(tok)
 	}
-	var pc *core.PublishCapture
 	if len(res) > 0 {
-		// Capture is the only publish work that must run under the
-		// write lock (it snapshots what the batch touched, O(touch)).
-		pc = s.pub.Capture(res)
+		// Publish under the lock: the commit turn already orders every
+		// epoch, so the lock only makes Pin, Save and Close see a
+		// whole one.
+		s.pub.Publish(res)
 	}
 	compact := err == nil && s.journal != nil && s.compactionDue()
 	s.mu.Unlock()
-	if pc != nil {
-		// Apply outside the lock: batches touching disjoint name
-		// blocks update their shards concurrently; only same-shard
-		// batches serialize, on that shard's apply lock.
-		s.pub.Apply(pc)
-	}
 	if compact && s.compactMu.TryLock() {
 		// Base compaction runs off the commit path: ingest keeps acking
 		// against the journal while the fresh base is encoded and
@@ -658,9 +647,9 @@ func (s *Service) SaveFile(path string) error {
 	return s.pin().SaveFile(path)
 }
 
-// pin pins the current epoch for a snapshot. Holding s.mu keeps new
-// captures out; Pin waits for in-flight Apply/assemble work so the
-// saved per-shard counters match the saved state exactly.
+// pin pins the current epoch for a snapshot. Every commit publishes
+// under s.mu, so holding it here pins a whole epoch: the saved
+// per-shard counters match the saved state exactly.
 func (s *Service) pin() *core.BasePin {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -759,14 +748,14 @@ func (s *Service) Compaction() *CompactionStatus {
 func (s *Service) JournalRecovery() *ReplayReport { return s.jrec }
 
 // Shards returns the point-in-time per-shard summaries (last-touch
-// epoch, publish count, owned authors and slots, pending ingest
-// depth), ascending by shard index. Lock-free.
+// epoch, publish count, owned authors and slots), ascending by shard
+// index. Lock-free.
 func (s *Service) Shards() []core.ShardInfo { return s.pub.ShardInfos() }
 
 // Contention returns the cumulative write-path contention and copy
-// accounting (mutex wait, delta entries copied, flattens) — what
+// accounting (write-lock wait, delta entries copied, flattens) — what
 // /metrics serves as "contention" and the benchmark reports as
-// core.view.ingest_wait_ms, apply_wait_ms and flattens.
+// core.view.ingest_wait_ms, delta_entries_per_publish and flattens.
 func (s *Service) Contention() core.ContentionStats { return s.pub.Contention() }
 
 // Recovery reports what a partial snapshot load lost, or nil when the

@@ -32,11 +32,11 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // blockPublish arms the PublishDelay fault point with a gated hook:
 // the returned entered channel reports a publish reaching the point,
 // and the release function unblocks it (idempotent via sync.Once).
-func blockPublish(p faultinject.Point) (entered chan struct{}, release func(), disarm func()) {
+func blockPublish() (entered chan struct{}, release func(), disarm func()) {
 	entered = make(chan struct{}, 64)
 	gate := make(chan struct{})
 	var once sync.Once
-	disarm = faultinject.Arm(p, func() error {
+	disarm = faultinject.Arm(faultinject.PublishDelay, func() error {
 		entered <- struct{}{}
 		<-gate
 		return nil
@@ -68,7 +68,7 @@ func TestServiceConcurrentBatchesBitIdentical(t *testing.T) {
 
 	// Stall the first publish so every other batch parks behind it,
 	// waiting for the commit turn.
-	entered, release, disarm := blockPublish(faultinject.PublishDelay)
+	entered, release, disarm := blockPublish()
 	defer disarm()
 	defer release()
 
@@ -138,70 +138,84 @@ func TestServiceConcurrentBatchesBitIdentical(t *testing.T) {
 	}
 }
 
-// TestServiceOverloadSheds pins the backpressure contract end to end:
-// with a slow publish holding the queue at its bound, further
-// AddPapers reject with *OverloadedError (nothing ingested), while
-// readers keep answering from the last published epoch.
+// TestServiceOverloadSheds pins the backpressure contract end to end,
+// unsharded and sharded: with a slow publish holding the queue at its
+// bound, further AddPapers reject with *OverloadedError (nothing
+// ingested), while readers — per-shard introspection included — keep
+// answering from the last published epoch.
 func TestServiceOverloadSheds(t *testing.T) {
 	d := serviceDataset(67)
-	svc, err := iuad.Open(d.Corpus, iuad.WithConfig(equivCoreConfig(2)),
-		iuad.WithIngestConfig(iuad.IngestConfig{MaxQueued: 4, RetryAfter: 250 * time.Millisecond}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	probes := streamProbes(d, "shed", 5)
-
-	entered, release, disarm := blockPublish(faultinject.PublishDelay)
-	defer disarm()
-	defer release()
-
-	var wg sync.WaitGroup
-	submit := func(ps []iuad.Paper) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := svc.AddPapers(context.Background(), ps); err != nil {
-				t.Errorf("admitted batch failed: %v", err)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			svc, err := iuad.Open(d.Corpus, iuad.WithConfig(equivCoreConfig(2)), iuad.WithShards(shards),
+				iuad.WithIngestConfig(iuad.IngestConfig{MaxQueued: 4, RetryAfter: 250 * time.Millisecond}))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-	}
-	submit(probes[0:2]) // leader: commits, stalls in publish (depth 2)
-	<-entered
-	submit(probes[2:4]) // parks (depth 4 == bound)
-	waitUntil(t, "follower parked", func() bool { return svc.Ingest().Depth == 4 })
+			defer svc.Close()
+			probes := streamProbes(d, "shed", 5)
 
-	_, err = svc.AddPapers(context.Background(), probes[4:5])
-	var ov *iuad.OverloadedError
-	if !errors.As(err, &ov) {
-		t.Fatalf("overflow AddPapers = %v, want *OverloadedError", err)
-	}
-	if ov.Depth != 4 || ov.Limit != 4 || ov.RetryAfter != 250*time.Millisecond {
-		t.Fatalf("overload detail %+v", ov)
-	}
+			entered, release, disarm := blockPublish()
+			defer disarm()
+			defer release()
 
-	// Readers never block on the stalled publish: the epoch published
-	// before the stall answers everything.
-	st := svc.Stats()
-	if st.Epoch != 0 || st.StreamedPapers != 0 {
-		t.Fatalf("stalled publish leaked state to readers: %+v", st)
-	}
-	if _, err := svc.Author(0); err != nil {
-		t.Fatalf("reader blocked or failed during stalled publish: %v", err)
-	}
-	if got := svc.AuthorsByName(d.Corpus.Paper(0).Authors[0]); len(got) == 0 {
-		t.Fatal("name query empty during stalled publish")
-	}
+			var wg sync.WaitGroup
+			submit := func(ps []iuad.Paper) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, err := svc.AddPapers(context.Background(), ps); err != nil {
+						t.Errorf("admitted batch failed: %v", err)
+					}
+				}()
+			}
+			submit(probes[0:2]) // leader: commits, stalls in publish (depth 2)
+			<-entered
+			submit(probes[2:4]) // parks (depth 4 == bound)
+			waitUntil(t, "follower parked", func() bool { return svc.Ingest().Depth == 4 })
 
-	disarm()
-	release()
-	wg.Wait()
-	ist := svc.Ingest()
-	if ist.Depth != 0 || ist.RejectedBatches != 1 || ist.AdmittedPapers != 4 {
-		t.Fatalf("post-drain ingest stats %+v", ist)
-	}
-	if st := svc.Stats(); st.StreamedPapers != 4 {
-		t.Fatalf("drained %d streamed papers, want 4 (shed batch must not land)", st.StreamedPapers)
+			_, err = svc.AddPapers(context.Background(), probes[4:5])
+			var ov *iuad.OverloadedError
+			if !errors.As(err, &ov) {
+				t.Fatalf("overflow AddPapers = %v, want *OverloadedError", err)
+			}
+			if ov.Depth != 4 || ov.Limit != 4 || ov.RetryAfter != 250*time.Millisecond {
+				t.Fatalf("overload detail %+v", ov)
+			}
+
+			// Readers never block on the stalled publish: the epoch
+			// published before the stall answers everything.
+			st := svc.Stats()
+			if st.Epoch != 0 || st.StreamedPapers != 0 {
+				t.Fatalf("stalled publish leaked state to readers: %+v", st)
+			}
+			if _, err := svc.Author(0); err != nil {
+				t.Fatalf("reader blocked or failed during stalled publish: %v", err)
+			}
+			if got := svc.AuthorsByName(d.Corpus.Paper(0).Authors[0]); len(got) == 0 {
+				t.Fatal("name query empty during stalled publish")
+			}
+			infos := svc.Shards()
+			if len(infos) != shards {
+				t.Fatalf("%d shard infos during stalled publish, want %d", len(infos), shards)
+			}
+			for _, info := range infos {
+				if info.Publishes != 0 {
+					t.Fatalf("stalled publish leaked into shard %d: %+v", info.Shard, info)
+				}
+			}
+
+			disarm()
+			release()
+			wg.Wait()
+			ist := svc.Ingest()
+			if ist.Depth != 0 || ist.RejectedBatches != 1 || ist.AdmittedPapers != 4 {
+				t.Fatalf("post-drain ingest stats %+v", ist)
+			}
+			if st := svc.Stats(); st.StreamedPapers != 4 {
+				t.Fatalf("drained %d streamed papers, want 4 (shed batch must not land)", st.StreamedPapers)
+			}
+		})
 	}
 }
 
@@ -232,7 +246,7 @@ func TestServiceAddPapersCancel(t *testing.T) {
 
 	// Mid-flight: cancel while the batch is parked behind a stalled
 	// publish — withdrawn, never ingested.
-	entered, release, disarm := blockPublish(faultinject.PublishDelay)
+	entered, release, disarm := blockPublish()
 	defer disarm()
 	defer release()
 	var wg sync.WaitGroup
@@ -327,64 +341,6 @@ func TestServiceCloseDrainsConcurrentIngest(t *testing.T) {
 	defer restored.Close()
 	if st := restored.Stats(); int64(st.StreamedPapers) != landed.Load() {
 		t.Fatalf("snapshot has %d streamed papers, %d batches reported success", st.StreamedPapers, landed.Load())
-	}
-}
-
-// TestServiceSlowShardReadersLockFree is the chaos pin for the sharded
-// publish path: a shard stalled mid-Apply (holding that shard's apply
-// lock) never blocks readers — they serve the last published composite
-// — and a queued writer waits in the queue behind the stall.
-func TestServiceSlowShardReadersLockFree(t *testing.T) {
-	d := serviceDataset(79)
-	svc, err := iuad.Open(d.Corpus, iuad.WithConfig(equivCoreConfig(2)), iuad.WithShards(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	probes := streamProbes(d, "stall", 4)
-
-	entered, release, disarm := blockPublish(faultinject.ShardApplyStall)
-	defer disarm()
-	defer release()
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, err := svc.AddPapers(context.Background(), probes[0:2]); err != nil {
-			t.Errorf("stalled batch: %v", err)
-		}
-	}()
-	<-entered // a shard Apply is stalled holding its apply lock
-
-	// Readers answer while the shard lock is held.
-	st := svc.Stats()
-	if st.Epoch != 0 {
-		t.Fatalf("torn epoch visible during stalled shard apply: %+v", st)
-	}
-	if _, err := svc.Author(0); err != nil {
-		t.Fatalf("reader blocked on stalled shard: %v", err)
-	}
-	for _, sh := range svc.Shards() {
-		_ = sh // per-shard introspection stays lock-free too
-	}
-
-	// A second writer parks in the queue rather than blocking a reader
-	// thread; it completes after the stall clears.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, err := svc.AddPapers(context.Background(), probes[2:4]); err != nil {
-			t.Errorf("queued batch: %v", err)
-		}
-	}()
-	waitUntil(t, "writer queued behind stall", func() bool { return svc.Ingest().Depth == 4 })
-
-	disarm()
-	release()
-	wg.Wait()
-	if st := svc.Stats(); st.StreamedPapers != 4 {
-		t.Fatalf("post-stall stats %+v", st)
 	}
 }
 

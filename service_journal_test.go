@@ -520,6 +520,53 @@ func TestJournalCloseCompactsCleanReopen(t *testing.T) {
 	}
 }
 
+// TestJournalReshardRemovesStaleSegments: a journal saved as a sharded
+// composite and reopened unsharded compacts to a single-file base on
+// Close. That save must delete the composite's segment files, or they
+// stay on disk forever and inflate the base size the compaction
+// trigger divides by.
+func TestJournalReshardRemovesStaleSegments(t *testing.T) {
+	d := serviceDataset(109)
+	jdir := t.TempDir()
+	svc, err := iuad.Open(d.Corpus, iuad.WithConfig(equivCoreConfig(1)),
+		iuad.WithJournalConfig(jdir, noCompact), iuad.WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.AddPapers(context.Background(), streamProbes(d, "reshard", 4)); err != nil {
+		t.Fatal(err)
+	}
+	fp := surfaceFingerprint(t, svc)
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(jdir, "base.snap.e*"))
+	if err != nil || len(segs) != 4 {
+		t.Fatalf("sharded Close left segments %v (%v), want 4", segs, err)
+	}
+
+	rec, err := iuad.Open(nil, iuad.WithJournalConfig(jdir, noCompact))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := surfaceFingerprint(t, rec); got != fp {
+		t.Fatal("unsharded reopen diverged")
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if segs, _ := filepath.Glob(filepath.Join(jdir, "base.snap.e*")); len(segs) != 0 {
+		t.Fatalf("single-file base left stale segments %v", segs)
+	}
+	fi, err := os.Stat(filepath.Join(jdir, "base.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := rec.Compaction().Last; last == nil || last.BaseBytes != fi.Size() {
+		t.Fatalf("last compaction %+v, want base_bytes %d (the size of base.snap)", last, fi.Size())
+	}
+}
+
 // TestJournalBackgroundCompaction: crossing the CompactEvery threshold
 // rewrites the base in the background and empties the journal; a crash
 // right after still recovers the full surface.

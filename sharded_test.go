@@ -141,9 +141,6 @@ func TestShardedSerialEquivalence(t *testing.T) {
 					if info.Shard != i {
 						t.Fatalf("shard info %d reports index %d", i, info.Shard)
 					}
-					if info.Pending != 0 {
-						t.Fatalf("shard %d pending %d after quiesce", i, info.Pending)
-					}
 					authors += info.Authors
 					slots += info.Slots
 				}
@@ -162,8 +159,8 @@ func TestShardedSerialEquivalence(t *testing.T) {
 // TestShardedConcurrentWriters drives concurrent AddPapers through a
 // sharded service (run under -race in CI). Every batch commits alone,
 // so for every interleaving the epoch equals the batch count and the
-// commit count, each epoch was published exactly once, every acked
-// paper is resolvable, and the pending counters return to zero.
+// commit count, each epoch was published exactly once, and every acked
+// paper is resolvable.
 func TestShardedConcurrentWriters(t *testing.T) {
 	d := serviceDataset(59)
 	svc, err := iuad.Open(d.Corpus, iuad.WithConfig(equivCoreConfig(1)), iuad.WithShards(8))
@@ -217,11 +214,6 @@ func TestShardedConcurrentWriters(t *testing.T) {
 			if err != nil || got.ID != a.Vertex {
 				t.Fatalf("acked slot %+v assigned to %d resolves to %+v, %v", a.Slot, a.Vertex, got, err)
 			}
-		}
-	}
-	for _, info := range svc.Shards() {
-		if info.Pending != 0 {
-			t.Fatalf("shard %d pending %d after all writers returned", info.Shard, info.Pending)
 		}
 	}
 	cs := svc.Contention()
