@@ -8,8 +8,7 @@
 // Endpoints:
 //
 //	GET  /healthz                      liveness (also reports the epoch)
-//	GET  /v1/stats                     published network sizes (incl. shard count)
-//	GET  /shards                       per-shard debug: epoch, publishes, authors, slots
+//	GET  /v1/stats                     published network sizes
 //	GET  /metrics                      ingest queue, contention, per-endpoint latency
 //	GET  /v1/authors?name=Wei+Wang     the homonym set of an exact name
 //	GET  /v1/authors/{id}              one author: name, papers, years, venues
@@ -88,8 +87,6 @@ func main() {
 		corpusPth  = flag.String("corpus", "", "JSONL corpus to fit when no snapshot exists")
 		snapPath   = flag.String("snapshot", "", "service snapshot: loaded if present, written on shutdown")
 		workers    = flag.Int("workers", 0, "worker pool bound (0 = one per logical CPU)")
-		shards     = flag.Int("shards", 1, "serving-state shards keyed by name block (1-256)")
-		partial    = flag.Bool("allow-partial", false, "serve a composite snapshot even when segment files are missing (lost shards restart empty)")
 		synthetic  = flag.Bool("synthetic", false, "fit a small synthetic corpus when no snapshot/corpus is given (demo/smoke)")
 		journalDir = flag.String("journal", "", "write-ahead journal directory: crash-safe continuous durability (mutually exclusive with -snapshot)")
 		fsyncMode  = flag.String("fsync", "percommit", "journal fsync policy: percommit (power-loss safe), grouped, or off (SIGKILL-safe only)")
@@ -100,6 +97,9 @@ func main() {
 		drainTO    = flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown bound for in-flight HTTP requests")
 		retryAfter = flag.Duration("retry-after", time.Second, "backoff hint carried by 429 overload responses")
 	)
+	// Ignored: the serving state has one layout. The flag stays because
+	// the benchmark's sweep still passes it.
+	flag.Int("shards", 1, "ignored (the serving state has one layout)")
 	flag.Parse()
 
 	if *journalDir != "" && *snapPath != "" {
@@ -127,15 +127,15 @@ func main() {
 	go func() { errCh <- srv.ListenAndServe() }()
 	log.Printf("listening on %s (recovering)", *addr)
 
-	svc, err := openService(*corpusPth, *snapPath, *journalDir, *workers, *shards, *compactN,
-		fsync, *partial, *synthetic, *ingestQ, *retryAfter)
+	svc, err := openService(*corpusPth, *snapPath, *journalDir, *workers, *compactN,
+		fsync, *synthetic, *ingestQ, *retryAfter)
 	if err != nil {
 		log.Fatal(err)
 	}
 	api.Attach(svc)
 	st := svc.Stats()
-	log.Printf("serving epoch %d: %d papers, %d authors, %d edges, %d shards",
-		st.Epoch, st.Papers, st.Authors, st.Edges, st.Shards)
+	log.Printf("serving epoch %d: %d papers, %d authors, %d edges",
+		st.Epoch, st.Papers, st.Authors, st.Edges)
 	if rep := svc.JournalRecovery(); rep != nil {
 		log.Printf("journal recovery: %d batches (%d papers) replayed from %d segments on base epoch %d in %.1fms",
 			rep.Batches, rep.Papers, rep.Segments, rep.BaseEpoch, float64(rep.WallNs)/1e6)
@@ -143,10 +143,6 @@ func main() {
 			log.Printf("journal recovery: torn tail truncated at %s offset %d (unacked crash remnant)",
 				rep.TruncatedPath, rep.TruncatedOffset)
 		}
-	}
-	if rep := svc.Recovery(); rep != nil {
-		log.Printf("PARTIAL RECOVERY: segments %v lost (%d authors, %d slots); %d edges and %d retained pairs dropped",
-			rep.MissingSegments, rep.LostAuthors, rep.LostSlots, rep.DroppedEdges, rep.DroppedPairs)
 	}
 
 	select {
@@ -178,15 +174,11 @@ func main() {
 // openService builds the Service from (in priority order) a journal
 // directory, an existing snapshot, a JSONL corpus, or the synthetic
 // demo corpus.
-func openService(corpusPath, snapPath, journalDir string, workers, shards, compactN int,
-	fsync iuad.FsyncPolicy, partial, synthetic bool, ingestQ int, retryAfter time.Duration) (*iuad.Service, error) {
+func openService(corpusPath, snapPath, journalDir string, workers, compactN int,
+	fsync iuad.FsyncPolicy, synthetic bool, ingestQ int, retryAfter time.Duration) (*iuad.Service, error) {
 	opts := []iuad.Option{
 		iuad.WithWorkers(workers),
-		iuad.WithShards(shards),
 		iuad.WithIngestConfig(iuad.IngestConfig{MaxQueued: ingestQ, RetryAfter: retryAfter}),
-	}
-	if partial {
-		opts = append(opts, iuad.WithPartialRecovery())
 	}
 	if journalDir != "" {
 		opts = append(opts, iuad.WithJournalConfig(journalDir,

@@ -62,9 +62,9 @@ func BuildSCN(corpus *bib.Corpus, cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// Support counting, sharded over contiguous paper ranges (one counter
+	// Support counting, chunked over contiguous paper ranges (one counter
 	// map per worker), then reduced.
-	countShards := sched.MapChunks(cfg.workers(), corpus.Len(),
+	countChunks := sched.MapChunks(cfg.workers(), corpus.Len(),
 		func(lo, hi int) map[namePair]int {
 			local := make(map[namePair]int)
 			for i := lo; i < hi; i++ {
@@ -78,8 +78,8 @@ func BuildSCN(corpus *bib.Corpus, cfg Config) (*Network, error) {
 			return local
 		})
 	scrs := make(map[namePair]int)
-	for _, shard := range countShards {
-		for key, c := range shard {
+	for _, chunk := range countChunks {
+		for key, c := range chunk {
 			scrs[key] += c
 		}
 	}
@@ -89,10 +89,10 @@ func BuildSCN(corpus *bib.Corpus, cfg Config) (*Network, error) {
 		}
 	}
 
-	// Papers per stable pair. Merging the shards in range order keeps
+	// Papers per stable pair. Merging the chunks in range order keeps
 	// every per-pair paper list in ascending paper order — exactly the
 	// serial scan's output.
-	shards := sched.MapChunks(cfg.workers(), corpus.Len(),
+	chunks := sched.MapChunks(cfg.workers(), corpus.Len(),
 		func(lo, hi int) map[namePair][]bib.PaperID {
 			local := make(map[namePair][]bib.PaperID)
 			for i := lo; i < hi; i++ {
@@ -109,8 +109,8 @@ func BuildSCN(corpus *bib.Corpus, cfg Config) (*Network, error) {
 			return local
 		})
 	pairPapers := make(map[namePair][]bib.PaperID, len(scrs))
-	for _, shard := range shards {
-		for key, ids := range shard {
+	for _, chunk := range chunks {
+		for key, ids := range chunk {
 			pairPapers[key] = append(pairPapers[key], ids...)
 		}
 	}
@@ -162,14 +162,14 @@ func BuildSCN(corpus *bib.Corpus, cfg Config) (*Network, error) {
 	// above (papers have unique author names, so an isolated vertex
 	// created for one slot can never own another), which makes the
 	// owner scan safe to fan out; vertex creation and merging stay on
-	// this goroutine, applied in paper order. Each shard emits a flat
+	// this goroutine, applied in paper order. Each chunk emits a flat
 	// record stream — most slots have no stable owner, so this stays
-	// compact even at library scale — and shards concatenate in range
+	// compact even at library scale — and chunks concatenate in range
 	// order, i.e. exactly the serial (paper, slot, ByName) scan order.
 	type ownerRec struct {
 		paper, idx, owner int32
 	}
-	ownerShards := sched.MapChunks(cfg.workers(), corpus.Len(), func(lo, hi int) []ownerRec {
+	ownerChunks := sched.MapChunks(cfg.workers(), corpus.Len(), func(lo, hi int) []ownerRec {
 		var recs []ownerRec
 		for i := lo; i < hi; i++ {
 			pid := bib.PaperID(i)
@@ -186,9 +186,9 @@ func BuildSCN(corpus *bib.Corpus, cfg Config) (*Network, error) {
 	uf := newUnionFind(len(n.Verts))
 	si, pos := 0, 0
 	peek := func() *ownerRec {
-		for si < len(ownerShards) {
-			if pos < len(ownerShards[si]) {
-				return &ownerShards[si][pos]
+		for si < len(ownerChunks) {
+			if pos < len(ownerChunks[si]) {
+				return &ownerChunks[si][pos]
 			}
 			si, pos = si+1, 0
 		}

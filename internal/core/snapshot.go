@@ -4,10 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 
 	"iuad/internal/bib"
 	"iuad/internal/emfit"
+	"iuad/internal/faultinject"
 	"iuad/internal/intern"
 	"iuad/internal/snapshot"
 	"iuad/internal/textvec"
@@ -18,7 +22,7 @@ import (
 const SnapshotVersion = 1
 
 // ServiceSnapshotVersion is the wire-format version of service-level
-// snapshots (SaveService/OpenServiceSnapshot): a small serving header
+// snapshots (SaveService/LoadServiceSnapshot): a small serving header
 // followed by the same pipeline body as SnapshotVersion streams. Service
 // versions live in their own 1000+ namespace so a pipeline snapshot
 // can never be mistaken for a service snapshot (or vice versa) as the
@@ -41,27 +45,11 @@ func SavePipeline(w io.Writer, pl *Pipeline) error {
 	if pl == nil || pl.GCN == nil || pl.SCN == nil {
 		return fmt.Errorf("core: SavePipeline before BuildGCN")
 	}
-	if hasDeadVertices(pl.GCN) {
-		return fmt.Errorf("core: pipeline carries dead vertices from a partial recovery; only the sharded snapshot format can save it")
-	}
 	sw := snapshot.NewWriter(w, SnapshotVersion)
-	if err := encodePipelineBody(sw, pl, liveBody(pl, true)); err != nil {
+	if err := encodePipelineBody(sw, pl, liveBody(pl)); err != nil {
 		return err
 	}
 	return sw.Close()
-}
-
-// hasDeadVertices reports whether any vertex was voided by a partial
-// snapshot recovery (NameID < 0). The legacy single-file formats have
-// no way to express such holes; the composite format records them in
-// its manifest.
-func hasDeadVertices(n *Network) bool {
-	for i := range n.Verts {
-		if n.Verts[i].NameID < 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // SaveService serializes a serving snapshot: the publish epoch of the
@@ -74,12 +62,9 @@ func SaveService(w io.Writer, pl *Pipeline, epoch uint64) error {
 	if pl == nil || pl.GCN == nil || pl.SCN == nil {
 		return fmt.Errorf("core: SaveService before BuildGCN")
 	}
-	if hasDeadVertices(pl.GCN) {
-		return fmt.Errorf("core: pipeline carries dead vertices from a partial recovery; only the sharded snapshot format can save it")
-	}
 	sw := snapshot.NewWriter(w, ServiceSnapshotVersion)
 	sw.Uvarint(epoch)
-	if err := encodePipelineBody(sw, pl, liveBody(pl, true)); err != nil {
+	if err := encodePipelineBody(sw, pl, liveBody(pl)); err != nil {
 		return err
 	}
 	return sw.Close()
@@ -94,21 +79,16 @@ func SaveService(w io.Writer, pl *Pipeline, epoch uint64) error {
 type bodyParts struct {
 	tails [3][]string // name, venue, word: symbols interned after Freeze
 	extra []bib.Paper
-	gcn   func(*snapshot.Writer) // nil: the composite format keeps the GCN in segment files
+	gcn   func(*snapshot.Writer)
 }
 
-// liveBody reads the growing parts off the pipeline itself. withGCN
-// selects the legacy layout (GCN inline, byte-stable for the v1/v1001
-// formats); the sharded composite format passes false.
-func liveBody(pl *Pipeline, withGCN bool) bodyParts {
-	b := bodyParts{
+// liveBody reads the growing parts off the pipeline itself.
+func liveBody(pl *Pipeline) bodyParts {
+	return bodyParts{
 		tails: [3][]string{pl.Corpus.NameTable().Tail(), pl.Corpus.VenueTable().Tail(), pl.Corpus.WordTable().Tail()},
 		extra: pl.extra,
+		gcn:   func(sw *snapshot.Writer) { encodeNetwork(sw, pl.GCN) },
 	}
-	if withGCN {
-		b.gcn = func(sw *snapshot.Writer) { encodeNetwork(sw, pl.GCN) }
-	}
-	return b
 }
 
 // encodePipelineBody writes the pipeline payload shared by pipeline-
@@ -132,9 +112,7 @@ func encodePipelineBody(sw *snapshot.Writer, pl *Pipeline, b bodyParts) error {
 		pl.Emb.EncodeSnapshot(sw)
 	}
 	encodeNetwork(sw, pl.SCN)
-	if b.gcn != nil {
-		b.gcn(sw)
-	}
+	b.gcn(sw)
 	sw.Bool(pl.Model != nil)
 	if pl.Model != nil {
 		pl.Model.EncodeSnapshot(sw)
@@ -170,15 +148,38 @@ func LoadPipeline(r io.Reader) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodePipelineBody(sr, true)
+	return decodePipelineBody(sr)
+}
+
+// LoadServiceSnapshot reconstructs a service saved by SaveService (or
+// BasePin): the pipeline and the publish epoch it was serving. A file
+// of any other snapshot version — the retired sharded composite
+// manifest (1002) included — is refused with an error naming the
+// version it found.
+func LoadServiceSnapshot(path string) (*Pipeline, uint64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer f.Close()
+	sr, err := snapshot.NewReader(f, ServiceSnapshotVersion)
+	if err != nil {
+		return nil, 0, err
+	}
+	epoch := sr.Uvarint()
+	if err := sr.Err(); err != nil {
+		return nil, 0, err
+	}
+	pl, err := decodePipelineBody(sr)
+	if err != nil {
+		return nil, 0, err
+	}
+	return pl, epoch, nil
 }
 
 // decodePipelineBody reads the pipeline payload shared by pipeline-
-// and service-level snapshots from an already-opened reader. With
-// withGCN false (the sharded composite's common section) the GCN is
-// absent from the stream: the caller merges it from segment files and
-// then calls finishRestore itself.
-func decodePipelineBody(sr *snapshot.Reader, withGCN bool) (*Pipeline, error) {
+// and service-level snapshots from an already-opened reader.
+func decodePipelineBody(sr *snapshot.Reader) (*Pipeline, error) {
 	cfgJSON := sr.Bytes()
 	if err := sr.Err(); err != nil {
 		return nil, err
@@ -222,11 +223,9 @@ func decodePipelineBody(sr *snapshot.Reader, withGCN bool) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	var gcn *Network
-	if withGCN {
-		if gcn, err = decodeNetwork(sr, corpus); err != nil {
-			return nil, err
-		}
+	gcn, err := decodeNetwork(sr, corpus)
+	if err != nil {
+		return nil, err
 	}
 	var model *emfit.Model
 	if sr.Bool() {
@@ -309,33 +308,20 @@ func decodePipelineBody(sr *snapshot.Reader, withGCN bool) (*Pipeline, error) {
 	if err := sr.Err(); err != nil {
 		return nil, err
 	}
-	if !withGCN {
-		return pl, nil // caller merges the GCN and calls finishRestore
-	}
-	if err := pl.finishRestore(); err != nil {
-		return nil, err
-	}
-	return pl, nil
-}
-
-// finishRestore validates the decoded networks and re-seeds derived
-// state, once the GCN is in place — inline for the legacy formats,
-// merged from segment files for the sharded composite. Paper IDs
-// inside the networks can only be range-checked once the incremental
-// stream length is known; a corrupt ID must be a decode error here,
-// not an index panic at serving time.
-func (pl *Pipeline) finishRestore() error {
-	totalPapers := pl.Corpus.Len() + len(pl.extra)
+	// Paper IDs inside the networks can only be range-checked once the
+	// incremental stream length is known; a corrupt ID must be a decode
+	// error here, not an index panic at serving time.
+	totalPapers := corpus.Len() + len(pl.extra)
 	for _, net := range []struct {
 		name string
 		n    *Network
 	}{{"SCN", pl.SCN}, {"GCN", pl.GCN}} {
 		if err := validatePaperIDs(net.n, totalPapers); err != nil {
-			return fmt.Errorf("core: snapshot %s: %w", net.name, err)
+			return nil, fmt.Errorf("core: snapshot %s: %w", net.name, err)
 		}
 	}
 	pl.sim = newSimilarityComputer(pl.GCN, pl, pl.Emb, &pl.Cfg)
-	return nil
+	return pl, nil
 }
 
 // validatePaperIDs bounds-checks every decoded paper reference of a
@@ -497,4 +483,59 @@ func decodePaperIDs(r *snapshot.Reader) []bib.PaperID {
 		out[i] = bib.PaperID(id)
 	}
 	return out
+}
+
+// atomicTempPrefix starts the name of every WriteFileAtomic temp file.
+const atomicTempPrefix = ".iuad-snap-"
+
+// RemoveAtomicTemps deletes the temp files WriteFileAtomic leaves in
+// dir when the process dies between creating one and renaming it into
+// place (best-effort). Only the exclusive owner of dir may call it: a
+// live writer's temp file looks the same.
+func RemoveAtomicTemps(dir string) {
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasPrefix(e.Name(), atomicTempPrefix) {
+			os.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
+}
+
+// WriteFileAtomic writes a file crash-safely: temp file in the target
+// directory, fsync, rename, then fsync the directory so neither a
+// torn write nor a lost rename can damage a previously committed file.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
+	// Chaos point: an armed SnapshotWrite hook aborts the write here,
+	// exactly like a failing disk — before the temp file exists, so
+	// the committed snapshot is never touched.
+	if err := faultinject.Fire(faultinject.SnapshotWrite); err != nil {
+		return err
+	}
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, atomicTempPrefix+"*")
+	if err != nil {
+		return err
+	}
+	cleanup := func() { tmp.Close(); os.Remove(tmp.Name()) }
+	if err := write(tmp); err != nil {
+		cleanup()
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		cleanup()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
+	}
+	return nil
 }

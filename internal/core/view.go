@@ -13,16 +13,6 @@ import (
 // any lock, and the ViewPublisher that derives a fresh View from the
 // pipeline after each write epoch.
 //
-// The view is *sharded by name block* (see shard.go): per-author state
-// is partitioned into N shardViews, each owned by the shard of the
-// author's name, plus a global spine (slot table, name column, and the
-// vertex→shard/rank routing columns) shared by every shard. Queries
-// fan out lock-free — a read loads ONE atomic composite pointer and
-// routes through the spine to the owning shard's immutable state — and
-// results merge deterministically: per-shard data is keyed by global
-// vertex IDs, so iteration orders (ascending vertex ID within a name,
-// ascending neighbor ID, slot order) are exactly the unsharded ones.
-//
 // Concurrency contract. A View is deeply immutable: once published,
 // none of its reachable state is ever written again, so any number of
 // goroutines may query it while the writer keeps mutating the pipeline
@@ -31,18 +21,16 @@ import (
 // queue's commit turn, so two publishes never overlap and epochs are
 // published in order by construction. A publish captures the write's
 // touch set (COW paper-set headers, materialized coauthor lists),
-// folds it into each touched shard's base+delta state, and swaps the
-// touched shard pointers into a copy of the previous composite, which
-// it publishes with one atomic store, so readers never observe a torn
-// epoch.
+// folds it into the base+delta tables, and publishes the next View
+// with one atomic store, so readers never observe a torn epoch.
 //
 // Three sharing disciplines make publishing cheap without breaking
 // immutability:
 //
-//   - Append-only slices (slot table, name and routing columns,
-//     streamed papers): the publisher appends to its own backing array
-//     and each View holds a length-bounded header. Readers never index
-//     past their header's length, and published entries are never
+//   - Append-only slices (slot table, per-vertex name columns, streamed
+//     papers): the publisher appends to its own backing array and each
+//     View holds a length-bounded header. Readers never index past
+//     their header's length, and published entries are never
 //     overwritten, so sharing one backing array across epochs is
 //     race-free even while the publisher appends.
 //
@@ -50,12 +38,11 @@ import (
 //     mutates a slice it returns — growth allocates a fresh slice — so
 //     a capture can hold the pipeline's own per-vertex slice headers.
 //
-//   - Base + delta layering, now per shard: the bulk of a shard's
-//     vertex-indexed tables lives in a shared immutable base (indexed
-//     by shard-local rank); entries touched since the base was built
-//     live in a small immutable delta map re-copied (and occasionally
-//     flattened) at each publish. Per-publish cost is proportional to
-//     the touched shard's delta — about 1/N of the unsharded cost.
+//   - Base + delta layering: the bulk of the vertex-indexed tables
+//     lives in a shared immutable base; entries touched since the base
+//     was built live in a small immutable delta map re-copied (and
+//     occasionally flattened) at each publish, so per-publish cost is
+//     proportional to the delta, amortized.
 
 // ServiceStats is the point-in-time summary served by Stats(): the
 // epoch it was published at and the sizes of the published network.
@@ -76,37 +63,48 @@ type ServiceStats struct {
 	Edges int `json:"edges"`
 	// Slots is the number of assigned author occurrences.
 	Slots int `json:"slots"`
-	// Shards is the serving partition count (1 = unsharded).
-	Shards int `json:"shards"`
 }
 
-// shardView is one shard's immutable slice of a published epoch. Its
-// vertex-indexed tables are keyed by shard-local rank (the spine's
-// vertRank column), so each shard's base arrays are dense and sized by
-// the authors it owns, not the whole corpus.
-type shardView struct {
-	// epoch is the global epoch that last touched this shard; pubs
-	// counts the publishes that touched it.
-	epoch uint64
-	pubs  uint64
-	// authors/slots are the vertices and assigned occurrences owned.
-	authors int
-	slots   int
+// ContentionStats is the write-path contention and copy accounting of
+// the view publisher: how long a commit waited for the service's write
+// lock, and how much base+delta state publishing re-copied. All
+// counters are cumulative since the publisher was built.
+type ContentionStats struct {
+	// Publishes counts published epochs.
+	Publishes int64 `json:"publishes"`
+	// IngestWaitNs is time commits spent waiting for the service's
+	// write lock. The commit turn already serializes commits, so this
+	// only counts waits behind a compaction's pin and cut, a Save or a
+	// Close.
+	IngestWaitNs int64 `json:"ingest_wait_ns"`
+	// ApplyWaitNs is always 0: publishes have one writer and take no
+	// lock of their own. The field stays because the benchmark reports
+	// it as core.view.apply_wait_ms.
+	ApplyWaitNs int64 `json:"apply_wait_ns"`
+	// DeltaEntriesCopied counts base+delta map entries re-copied at
+	// publish time.
+	DeltaEntriesCopied int64 `json:"delta_entries_copied"`
+	// Flattens counts delta→base folds.
+	Flattens int64 `json:"flattens"`
+}
 
-	papersBase  [][]bib.PaperID // by rank
+// viewTables are a View's vertex-indexed read tables: an immutable
+// base shared across epochs plus the entries touched since the base
+// was built.
+type viewTables struct {
+	papersBase  [][]bib.PaperID // by vertex ID
 	papersDelta map[int32][]bib.PaperID
 
-	coauthBase  [][]int32 // by rank; values are global vertex IDs
+	coauthBase  [][]int32 // by vertex ID
 	coauthDelta map[int32][]int32
 
-	byNameBase  map[string][]int32 // global vertex IDs, ascending
+	byNameBase  map[string][]int32 // vertex IDs, ascending
 	byNameDelta map[string][]int32
 }
 
-// View is one published epoch of the serving read-model: the global
-// spine plus one immutable shardView per shard. All methods are safe
-// for concurrent use without synchronization; slices returned by
-// methods are shared with the view and MUST NOT be mutated.
+// View is one published epoch of the serving read-model. All methods
+// are safe for concurrent use without synchronization; slices returned
+// by methods are shared with the view and MUST NOT be mutated.
 type View struct {
 	stats  ServiceStats
 	corpus *bib.Corpus
@@ -121,12 +119,8 @@ type View struct {
 	// encoder reads (append-only shared; immutable once a vertex exists).
 	nameIDs  []intern.ID
 	isolated []bool
-	// vertShard/vertRank route a global vertex ID to its owning shard
-	// and its dense index there (append-only shared).
-	vertShard []uint8
-	vertRank  []int32
 
-	shards []*shardView
+	viewTables
 }
 
 // Epoch returns the publish epoch of this view.
@@ -139,17 +133,12 @@ func (v *View) Stats() ServiceStats { return v.stats }
 func (v *View) NumVertices() int { return v.stats.Authors }
 
 // AuthorName returns the name of vertex id, and whether id is a
-// published, live vertex. Vertices lost to a partial snapshot recovery
-// carry an empty name and report false.
+// published vertex.
 func (v *View) AuthorName(id int) (string, bool) {
 	if id < 0 || id >= v.stats.Authors {
 		return "", false
 	}
-	name := v.names[id]
-	if name == "" {
-		return "", false // dead vertex (lost snapshot segment)
-	}
-	return name, true
+	return v.names[id], true
 }
 
 // AuthorPapers returns the sorted paper IDs attributed to vertex id.
@@ -158,13 +147,11 @@ func (v *View) AuthorPapers(id int) ([]bib.PaperID, bool) {
 	if id < 0 || id >= v.stats.Authors {
 		return nil, false
 	}
-	sv := v.shards[v.vertShard[id]]
-	r := v.vertRank[id]
-	if p, ok := sv.papersDelta[r]; ok {
+	if p, ok := v.papersDelta[int32(id)]; ok {
 		return p, true
 	}
-	if int(r) < len(sv.papersBase) {
-		return sv.papersBase[r], true
+	if id < len(v.papersBase) {
+		return v.papersBase[id], true
 	}
 	return nil, true
 }
@@ -175,13 +162,11 @@ func (v *View) Coauthors(id int) ([]int32, bool) {
 	if id < 0 || id >= v.stats.Authors {
 		return nil, false
 	}
-	sv := v.shards[v.vertShard[id]]
-	r := v.vertRank[id]
-	if c, ok := sv.coauthDelta[r]; ok {
+	if c, ok := v.coauthDelta[int32(id)]; ok {
 		return c, true
 	}
-	if int(r) < len(sv.coauthBase) {
-		return sv.coauthBase[r], true
+	if id < len(v.coauthBase) {
+		return v.coauthBase[id], true
 	}
 	return nil, true
 }
@@ -200,26 +185,24 @@ func (v *View) AppendCoauthors(id int, buf []int32) ([]int32, bool) {
 }
 
 // VerticesOfName returns the ascending vertex IDs carrying the exact
-// author name, served from the owning shard's index. The slice is
-// shared; do not mutate.
+// author name. The slice is shared; do not mutate.
 func (v *View) VerticesOfName(name string) []int32 {
-	sv := v.shards[ShardOfName(name, len(v.shards))]
-	if ids, ok := sv.byNameDelta[name]; ok {
+	if ids, ok := v.byNameDelta[name]; ok {
 		return ids
 	}
-	return sv.byNameBase[name]
+	return v.byNameBase[name]
 }
 
 // ResolveSlot returns the vertex the (paper, index) author occurrence
 // is assigned to, or false when the slot is outside the published
-// epoch (or was lost to a partial snapshot recovery).
+// epoch.
 func (v *View) ResolveSlot(s Slot) (int, bool) {
 	p := int(s.Paper)
 	if p < 0 || p >= v.stats.Papers {
 		return 0, false
 	}
 	lo, hi := v.slotOff[p], v.slotOff[p+1]
-	if s.Index < 0 || int32(s.Index) >= hi-lo {
+	if s.Index < 0 || s.Index >= int(hi-lo) {
 		return 0, false
 	}
 	vert := v.slotVert[lo+int32(s.Index)]
@@ -245,72 +228,52 @@ func (v *View) PaperMeta(id bib.PaperID) (*bib.Paper, bool) {
 // before a publish folds it into a fresh base: len(delta) is kept under
 // flattenMin + len(base)/flattenDiv, so lookup stays O(1) with a small
 // constant and per-publish cost stays proportional to the touch set,
-// amortized. With sharding the bound applies per shard, so both the
-// deltas copied per publish and the bases rebuilt per flatten are ≈1/N
-// of the unsharded sizes.
+// amortized.
 const (
 	flattenMin = 64
 	flattenDiv = 4
 )
 
-// publisherShard is the writer's count of one shard's owned vertices
-// and assigned slots, grown at capture time.
-type publisherShard struct {
-	authors int
-	slots   int
-}
-
-// nameEntry records one vertex created by a capture, for the owning
-// shard's byName delta.
+// nameEntry records one vertex created by a capture, for the byName
+// delta.
 type nameEntry struct {
 	name string
 	vert int32
 }
 
-// vertTouch is one touched vertex's captured state: its shard-local
-// rank, the COW paper-set header, and a privately copied coauthor
-// list (graph adjacency mutates in place and cannot be shared).
+// vertTouch is one touched vertex's captured state: the COW paper-set
+// header and a privately copied coauthor list (graph adjacency
+// mutates in place and cannot be shared).
 type vertTouch struct {
-	rank   int32
+	id     int32
 	papers []bib.PaperID
 	coauth []int32
-}
-
-// shardTouch is the slice of one capture destined for one shard.
-type shardTouch struct {
-	shard    int
-	newNames []nameEntry
-	verts    []vertTouch
 }
 
 // PublishCapture is one write batch's touch set, taken by Capture and
 // turned into a published View by Apply.
 type PublishCapture struct {
-	epoch   uint64
-	touches []*shardTouch // ascending shard index
+	epoch    uint64
+	newNames []nameEntry
+	verts    []vertTouch
 }
 
-// ViewPublisher derives Views from a pipeline, sharded by name block.
-// It has a single writer — Publish, Capture and Apply must never run
-// concurrently with each other or with pipeline ingest — while Current,
-// ShardInfos and Contention are safe from any goroutine.
+// ViewPublisher derives Views from a pipeline. It has a single writer —
+// Publish, Capture and Apply must never run concurrently with each
+// other or with pipeline ingest — while Current and Contention are
+// safe from any goroutine.
 type ViewPublisher struct {
 	pl  *Pipeline
-	n   int // shard count
 	cur atomic.Pointer[View]
 
-	// Append-only spine builders (Views hold length-bounded headers).
-	slotOff   []int32
-	slotVert  []int32
-	names     []string
-	nameIDs   []intern.ID
-	isolated  []bool
-	vertShard []uint8
-	vertRank  []int32
+	// Append-only column builders (Views hold length-bounded headers).
+	slotOff  []int32
+	slotVert []int32
+	names    []string
+	nameIDs  []intern.ID
+	isolated []bool
 
 	epoch uint64 // last captured epoch
-
-	shards []publisherShard
 
 	// Contention and copy accounting (see ContentionStats).
 	ingestWaitNs atomic.Int64
@@ -319,22 +282,11 @@ type ViewPublisher struct {
 	flattens     atomic.Int64
 }
 
-// NewViewPublisher builds the initial unsharded (N=1) view of pl at
-// the given epoch — the compatibility constructor used by tests and
-// single-shard services.
+// NewViewPublisher builds the initial full view of pl at the given
+// epoch. The initial build is O(V + E + slots); every later publish is
+// proportional to the write's touch set.
 func NewViewPublisher(pl *Pipeline, epoch uint64) *ViewPublisher {
-	return NewShardedViewPublisher(pl, epoch, 1, nil)
-}
-
-// NewShardedViewPublisher builds the initial full view of pl at the
-// given epoch, partitioned into NormShards(shards) shards. seeds, when
-// non-nil and of matching length, restores per-shard epoch/publish
-// counters from a composite snapshot. The initial build is
-// O(V + E + slots); every later publish is proportional to the write's
-// touch set.
-func NewShardedViewPublisher(pl *Pipeline, epoch uint64, shards int, seeds []ShardSeed) *ViewPublisher {
-	n := NormShards(shards)
-	vp := &ViewPublisher{pl: pl, n: n, epoch: epoch, shards: make([]publisherShard, n)}
+	vp := &ViewPublisher{pl: pl, epoch: epoch}
 
 	gcn := pl.GCN
 	nVerts := len(gcn.Verts)
@@ -353,42 +305,16 @@ func NewShardedViewPublisher(pl *Pipeline, epoch uint64, shards int, seeds []Sha
 		vp.slotOff = append(vp.slotOff, int32(len(vp.slotVert)))
 	}
 
-	// Routing spine: shard by name hash, dense rank within the shard.
-	// Dead vertices (lost to a partial snapshot recovery; NameID < 0)
-	// keep their global ID and rank but are invisible to the name
-	// index and the query surface.
 	vp.names = make([]string, nVerts)
 	vp.nameIDs = make([]intern.ID, nVerts)
 	vp.isolated = make([]bool, nVerts)
-	vp.vertShard = make([]uint8, nVerts)
-	vp.vertRank = make([]int32, nVerts)
-	for i := 0; i < nVerts; i++ {
-		vert := &gcn.Verts[i]
-		name := ""
-		if vert.NameID >= 0 {
-			name = vert.Name
-		}
-		sh := ShardOfName(name, n)
-		vp.names[i] = name
-		vp.nameIDs[i] = vert.NameID
-		vp.isolated[i] = vert.Isolated
-		vp.vertShard[i] = uint8(sh)
-		vp.vertRank[i] = int32(vp.shards[sh].authors)
-		vp.shards[sh].authors++
-	}
-
-	views := make([]*shardView, n)
-	for sh := range views {
-		views[sh] = &shardView{
-			epoch:       epoch,
-			authors:     vp.shards[sh].authors,
-			papersBase:  make([][]bib.PaperID, vp.shards[sh].authors),
-			papersDelta: map[int32][]bib.PaperID{},
-			coauthBase:  make([][]int32, vp.shards[sh].authors),
-			coauthDelta: map[int32][]int32{},
-			byNameBase:  map[string][]int32{},
-			byNameDelta: map[string][]int32{},
-		}
+	t := viewTables{
+		papersBase:  make([][]bib.PaperID, nVerts),
+		papersDelta: map[int32][]bib.PaperID{},
+		coauthBase:  make([][]int32, nVerts),
+		coauthDelta: map[int32][]int32{},
+		byNameBase:  map[string][]int32{},
+		byNameDelta: map[string][]int32{},
 	}
 	// All adjacency rows are carved out of one slab: two allocations for
 	// the whole build instead of one per vertex. Published rows stay
@@ -396,38 +322,23 @@ func NewShardedViewPublisher(pl *Pipeline, epoch uint64, shards int, seeds []Sha
 	// abandons (never mutates) the old backing array.
 	coauthSlab := make([]int32, 0, 2*gcn.G.NumEdges())
 	for i := 0; i < nVerts; i++ {
-		sv := views[vp.vertShard[i]]
-		r := vp.vertRank[i]
-		sv.papersBase[r] = gcn.Verts[i].Papers
+		vert := &gcn.Verts[i]
+		vp.names[i] = vert.Name
+		vp.nameIDs[i] = vert.NameID
+		vp.isolated[i] = vert.Isolated
+		t.papersBase[i] = vert.Papers
 		if start := len(coauthSlab); gcn.G.Degree(i) > 0 {
 			coauthSlab = appendNeighborIDs(gcn, i, coauthSlab)
-			sv.coauthBase[r] = coauthSlab[start:len(coauthSlab):len(coauthSlab)]
+			t.coauthBase[i] = coauthSlab[start:len(coauthSlab):len(coauthSlab)]
 		}
-		if name := vp.names[i]; name != "" {
-			sv.byNameBase[name] = append(sv.byNameBase[name], int32(i))
-		}
+		t.byNameBase[vert.Name] = append(t.byNameBase[vert.Name], int32(i))
 	}
-	for _, vert := range vp.slotVert {
-		if vert >= 0 {
-			vp.shards[vp.vertShard[vert]].slots++
-		}
-	}
-	for sh := range views {
-		views[sh].slots = vp.shards[sh].slots
-		if len(seeds) == n {
-			views[sh].epoch = seeds[sh].Epoch
-			views[sh].pubs = seeds[sh].Publishes
-		}
-	}
-	vp.cur.Store(vp.view(epoch, views))
+	vp.cur.Store(vp.view(epoch, t))
 	return vp
 }
 
 // Current returns the most recently published view.
 func (vp *ViewPublisher) Current() *View { return vp.cur.Load() }
-
-// Shards returns the shard count.
-func (vp *ViewPublisher) Shards() int { return vp.n }
 
 // CapturedEpoch returns the epoch of the last capture — the published
 // epoch whenever no Capture awaits its Apply. Writer only.
@@ -440,25 +351,16 @@ func (vp *ViewPublisher) Publish(batches [][]Assignment) *View {
 }
 
 // Capture snapshots one write batch — the assignments AddPapers
-// returned — and appends its papers and vertices to the spine. It must
-// be called with the assignments of every paper ingested since the
-// previous Capture, in ingest order; the write's touch set is exactly
-// the assigned vertices (papers and edges only ever change there), so
-// that is all it copies. Writer only; Apply applies the last Capture.
+// returned — and appends its papers and vertices to the columns. It
+// must be called with the assignments of every paper ingested since
+// the previous Capture, in ingest order; the write's touch set is
+// exactly the assigned vertices (papers and edges only ever change
+// there), so that is all it copies. Writer only; Apply applies the
+// last Capture.
 func (vp *ViewPublisher) Capture(batches [][]Assignment) *PublishCapture {
 	gcn := vp.pl.GCN
 	vp.epoch++
 	c := &PublishCapture{epoch: vp.epoch}
-
-	touched := make(map[int]*shardTouch, 4)
-	touch := func(sh int) *shardTouch {
-		t, ok := touched[sh]
-		if !ok {
-			t = &shardTouch{shard: sh}
-			touched[sh] = t
-		}
-		return t
-	}
 
 	// Slot table: append the new papers' slots (append-only sharing).
 	for _, as := range batches {
@@ -468,32 +370,22 @@ func (vp *ViewPublisher) Capture(batches [][]Assignment) *PublishCapture {
 		vp.slotOff = append(vp.slotOff, int32(len(vp.slotVert)))
 	}
 
-	// New vertices: extend the spine columns and route each to its
-	// owning shard's byName delta (created vertices are also in the
-	// assigned touch set below).
+	// New vertices: extend the columns and the byName delta (created
+	// vertices are also in the assigned touch set below).
 	for i := len(vp.names); i < len(gcn.Verts); i++ {
 		name := gcn.Verts[i].Name
-		sh := ShardOfName(name, vp.n)
-		ps := &vp.shards[sh]
 		vp.names = append(vp.names, name)
 		vp.nameIDs = append(vp.nameIDs, gcn.Verts[i].NameID)
 		vp.isolated = append(vp.isolated, gcn.Verts[i].Isolated)
-		vp.vertShard = append(vp.vertShard, uint8(sh))
-		vp.vertRank = append(vp.vertRank, int32(ps.authors))
-		ps.authors++
-		touch(sh).newNames = append(touch(sh).newNames, nameEntry{name: name, vert: int32(i)})
+		c.newNames = append(c.newNames, nameEntry{name: name, vert: int32(i)})
 	}
 
 	// Touched vertices: fresh paper-set headers (copy-on-write slices,
-	// safe to share) and freshly materialized coauthor lists. A slot's
-	// vertex always carries the slot's name, so the vertex's shard is
-	// the name block's shard.
+	// safe to share) and freshly materialized coauthor lists.
 	seen := make(map[int32]bool, 8)
 	var coauthSlab []int32 // one backing array for the batch's coauthor rows
 	for _, as := range batches {
 		for _, a := range as {
-			sh := int(vp.vertShard[a.Vertex])
-			vp.shards[sh].slots++
 			if seen[int32(a.Vertex)] {
 				continue
 			}
@@ -503,127 +395,77 @@ func (vp *ViewPublisher) Capture(batches [][]Assignment) *PublishCapture {
 				coauthSlab = appendNeighborIDs(gcn, a.Vertex, coauthSlab)
 				coauth = coauthSlab[start:len(coauthSlab):len(coauthSlab)]
 			}
-			touch(sh).verts = append(touch(sh).verts, vertTouch{
-				rank:   vp.vertRank[a.Vertex],
+			c.verts = append(c.verts, vertTouch{
+				id:     int32(a.Vertex),
 				papers: gcn.Verts[a.Vertex].Papers,
 				coauth: coauth,
 			})
 		}
 	}
-
-	c.touches = make([]*shardTouch, 0, len(touched))
-	for sh := 0; sh < vp.n && len(c.touches) < len(touched); sh++ {
-		if t, ok := touched[sh]; ok {
-			c.touches = append(c.touches, t)
-		}
-	}
 	return c
 }
 
-// Apply folds a capture into the touched shards and publishes the
-// composite view with one atomic store. Writer only; Apply applies the
+// Apply folds a capture into the previous view's tables and publishes
+// the next view with one atomic store. Writer only; Apply applies the
 // last Capture.
 func (vp *ViewPublisher) Apply(c *PublishCapture) *View {
-	prev := vp.cur.Load()
-	shards := make([]*shardView, len(prev.shards))
-	copy(shards, prev.shards)
-	for _, t := range c.touches {
-		shards[t.shard] = vp.applyShard(prev.shards[t.shard], t, c.epoch)
+	t := vp.cur.Load().viewTables
+	if len(c.newNames) > 0 {
+		delta := make(map[string][]int32, len(t.byNameDelta)+len(c.newNames))
+		for k, ids := range t.byNameDelta {
+			delta[k] = ids
+		}
+		vp.deltaCopied.Add(int64(len(t.byNameDelta)))
+		for _, ne := range c.newNames {
+			cur, ok := delta[ne.name]
+			if !ok {
+				cur = t.byNameBase[ne.name]
+			}
+			delta[ne.name] = append(append(make([]int32, 0, len(cur)+1), cur...), ne.vert)
+		}
+		t.byNameDelta = delta
 	}
-	// Chaos point: delays every epoch publish before the composite is
+	if len(c.verts) > 0 {
+		pd := make(map[int32][]bib.PaperID, len(t.papersDelta)+len(c.verts))
+		for k, p := range t.papersDelta {
+			pd[k] = p
+		}
+		cd := make(map[int32][]int32, len(t.coauthDelta)+len(c.verts))
+		for k, co := range t.coauthDelta {
+			cd[k] = co
+		}
+		vp.deltaCopied.Add(int64(len(t.papersDelta) + len(t.coauthDelta)))
+		for _, vt := range c.verts {
+			pd[vt.id] = vt.papers
+			cd[vt.id] = vt.coauth
+		}
+		t.papersDelta, t.coauthDelta = pd, cd
+	}
+	vp.flatten(&t)
+	// Chaos point: delays every epoch publish before the view is
 	// swapped in — the injected "publish is slow" fault the ingest
 	// queue must absorb by shedding load, not by growing unboundedly.
 	faultinject.Fire(faultinject.PublishDelay)
-	v := vp.view(c.epoch, shards)
+	v := vp.view(c.epoch, t)
 	vp.cur.Store(v)
 	vp.publishes.Add(1)
 	return v
 }
 
-// applyShard builds a touched shard's next immutable shardView from its
-// previous one plus the capture's slice.
-func (vp *ViewPublisher) applyShard(prev *shardView, t *shardTouch, epoch uint64) *shardView {
-	ps := &vp.shards[t.shard]
-	next := &shardView{
-		epoch:       epoch,
-		pubs:        prev.pubs + 1,
-		authors:     ps.authors,
-		slots:       ps.slots,
-		papersBase:  prev.papersBase,
-		papersDelta: prev.papersDelta,
-		coauthBase:  prev.coauthBase,
-		coauthDelta: prev.coauthDelta,
-		byNameBase:  prev.byNameBase,
-		byNameDelta: prev.byNameDelta,
-	}
-	if len(t.newNames) > 0 {
-		delta := make(map[string][]int32, len(prev.byNameDelta)+len(t.newNames))
-		for k, ids := range prev.byNameDelta {
-			delta[k] = ids
-		}
-		vp.deltaCopied.Add(int64(len(prev.byNameDelta)))
-		for _, ne := range t.newNames {
-			cur, ok := delta[ne.name]
-			if !ok {
-				cur = prev.byNameBase[ne.name]
-			}
-			delta[ne.name] = append(append(make([]int32, 0, len(cur)+1), cur...), ne.vert)
-		}
-		next.byNameDelta = delta
-	}
-	if len(t.verts) > 0 {
-		pd := make(map[int32][]bib.PaperID, len(prev.papersDelta)+len(t.verts))
-		for k, p := range prev.papersDelta {
-			pd[k] = p
-		}
-		cd := make(map[int32][]int32, len(prev.coauthDelta)+len(t.verts))
-		for k, co := range prev.coauthDelta {
-			cd[k] = co
-		}
-		vp.deltaCopied.Add(int64(len(prev.papersDelta) + len(prev.coauthDelta)))
-		for _, vt := range t.verts {
-			pd[vt.rank] = vt.papers
-			cd[vt.rank] = vt.coauth
-		}
-		next.papersDelta, next.coauthDelta = pd, cd
-	}
-	vp.flattenShard(next)
-	return next
-}
-
-// view builds the composite View of the writer's current spine at
-// epoch over the given shard views.
-func (vp *ViewPublisher) view(epoch uint64, shards []*shardView) *View {
+// view builds the View of the writer's current columns at epoch over
+// the given tables.
+func (vp *ViewPublisher) view(epoch uint64, t viewTables) *View {
 	return &View{
-		stats:     vp.statsAt(epoch),
-		corpus:    vp.pl.Corpus,
-		extra:     vp.pl.extra,
-		slotOff:   vp.slotOff,
-		slotVert:  vp.slotVert,
-		names:     vp.names,
-		nameIDs:   vp.nameIDs,
-		isolated:  vp.isolated,
-		vertShard: vp.vertShard,
-		vertRank:  vp.vertRank,
-		shards:    shards,
+		stats:      vp.statsAt(epoch),
+		corpus:     vp.pl.Corpus,
+		extra:      vp.pl.extra,
+		slotOff:    vp.slotOff,
+		slotVert:   vp.slotVert,
+		names:      vp.names,
+		nameIDs:    vp.nameIDs,
+		isolated:   vp.isolated,
+		viewTables: t,
 	}
-}
-
-// ShardInfos reports the per-shard serving summaries of the current
-// view, ascending by shard index (the deterministic merge order).
-func (vp *ViewPublisher) ShardInfos() []ShardInfo {
-	v := vp.cur.Load()
-	out := make([]ShardInfo, len(v.shards))
-	for i, sv := range v.shards {
-		out[i] = ShardInfo{
-			Shard:     i,
-			Epoch:     sv.epoch,
-			Publishes: sv.pubs,
-			Authors:   sv.authors,
-			Slots:     sv.slots,
-		}
-	}
-	return out
 }
 
 // AddIngestWait accrues time a writer spent waiting for the service's
@@ -634,7 +476,6 @@ func (vp *ViewPublisher) AddIngestWait(ns int64) { vp.ingestWaitNs.Add(ns) }
 // accounting.
 func (vp *ViewPublisher) Contention() ContentionStats {
 	return ContentionStats{
-		Shards:             vp.n,
 		Publishes:          vp.publishes.Load(),
 		IngestWaitNs:       vp.ingestWaitNs.Load(),
 		DeltaEntriesCopied: vp.deltaCopied.Load(),
@@ -654,43 +495,40 @@ func (vp *ViewPublisher) statsAt(epoch uint64) ServiceStats {
 		Names:          pl.Corpus.NameTable().Len(),
 		Edges:          pl.GCN.EdgeCount(),
 		Slots:          len(vp.slotVert),
-		Shards:         vp.n,
 	}
 }
 
-// flattenShard folds any oversized delta of one shard into a fresh
-// base so lookups stay cheap; bases are rebuilt at most every
-// O(base/flattenDiv) touches, and each base is only the shard's own
-// slice of the corpus.
-func (vp *ViewPublisher) flattenShard(sv *shardView) {
-	n := sv.authors
-	if len(sv.papersDelta) > flattenMin+len(sv.papersBase)/flattenDiv {
+// flatten folds any oversized delta into a fresh base so lookups stay
+// cheap; bases are rebuilt at most every O(base/flattenDiv) touches.
+func (vp *ViewPublisher) flatten(t *viewTables) {
+	n := len(vp.names)
+	if len(t.papersDelta) > flattenMin+len(t.papersBase)/flattenDiv {
 		base := make([][]bib.PaperID, n)
-		copy(base, sv.papersBase)
-		for r, p := range sv.papersDelta {
-			base[r] = p
+		copy(base, t.papersBase)
+		for id, p := range t.papersDelta {
+			base[id] = p
 		}
-		sv.papersBase, sv.papersDelta = base, map[int32][]bib.PaperID{}
+		t.papersBase, t.papersDelta = base, map[int32][]bib.PaperID{}
 		vp.flattens.Add(1)
 	}
-	if len(sv.coauthDelta) > flattenMin+len(sv.coauthBase)/flattenDiv {
+	if len(t.coauthDelta) > flattenMin+len(t.coauthBase)/flattenDiv {
 		base := make([][]int32, n)
-		copy(base, sv.coauthBase)
-		for r, c := range sv.coauthDelta {
-			base[r] = c
+		copy(base, t.coauthBase)
+		for id, c := range t.coauthDelta {
+			base[id] = c
 		}
-		sv.coauthBase, sv.coauthDelta = base, map[int32][]int32{}
+		t.coauthBase, t.coauthDelta = base, map[int32][]int32{}
 		vp.flattens.Add(1)
 	}
-	if len(sv.byNameDelta) > flattenMin+len(sv.byNameBase)/flattenDiv {
-		base := make(map[string][]int32, len(sv.byNameBase)+len(sv.byNameDelta))
-		for name, ids := range sv.byNameBase {
+	if len(t.byNameDelta) > flattenMin+len(t.byNameBase)/flattenDiv {
+		base := make(map[string][]int32, len(t.byNameBase)+len(t.byNameDelta))
+		for name, ids := range t.byNameBase {
 			base[name] = ids
 		}
-		for name, ids := range sv.byNameDelta {
+		for name, ids := range t.byNameDelta {
 			base[name] = ids
 		}
-		sv.byNameBase, sv.byNameDelta = base, map[string][]int32{}
+		t.byNameBase, t.byNameDelta = base, map[string][]int32{}
 		vp.flattens.Add(1)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"io"
 
 	"iuad/internal/bib"
@@ -19,7 +18,7 @@ import (
 // store is per-edge paper sets: recoverRelations and addPaper make every
 // pair of slots of a paper an edge, so EdgePapers(u,v) is exactly
 // Papers(u) ∩ Papers(v). The output is byte-identical to the reference
-// writers (SaveService / SaveShardedService) at the same epoch;
+// writer (SaveService) at the same epoch;
 // TestPinnedSnapshotMatchesReference pins it.
 
 // BasePin is the state of one epoch pinned for a snapshot.
@@ -45,12 +44,8 @@ func (vp *ViewPublisher) Pin() *BasePin {
 // Epoch returns the pinned epoch.
 func (p *BasePin) Epoch() uint64 { return p.view.Epoch() }
 
-// Encode writes the single-file (v1001) service snapshot of the pinned
-// epoch. Like SaveService it refuses dead vertices.
+// Encode writes the service snapshot (v1001) of the pinned epoch.
 func (p *BasePin) Encode(w io.Writer) error {
-	if len(p.view.deadVertices()) > 0 {
-		return fmt.Errorf("core: pipeline carries dead vertices from a partial recovery; only the sharded snapshot format can save it")
-	}
 	sw := snapshot.NewWriter(w, ServiceSnapshotVersion)
 	sw.Uvarint(p.Epoch())
 	body := bodyParts{tails: p.tails, extra: p.view.extra, gcn: p.view.encodeNetwork}
@@ -60,55 +55,14 @@ func (p *BasePin) Encode(w io.Writer) error {
 	return sw.Close()
 }
 
-// SaveFile writes the pinned epoch to path crash-safely: the composite
-// manifest-plus-segments format when the view is sharded or carries
-// dead vertices, the single-file format otherwise.
+// SaveFile writes the pinned epoch to path crash-safely (see
+// WriteFileAtomic).
 func (p *BasePin) SaveFile(path string) error {
-	v := p.view
-	dead := v.deadVertices()
-	if len(v.shards) == 1 && len(dead) == 0 {
-		if err := WriteFileAtomic(path, p.Encode); err != nil {
-			return err
-		}
-		removeStaleSegments(path, nil)
-		return nil
-	}
-	segs := make([]shardSegment, len(v.shards))
-	seeds := make([]ShardSeed, len(v.shards))
-	for sh, sv := range v.shards {
-		seeds[sh] = ShardSeed{Epoch: sv.epoch, Publishes: sv.pubs}
-	}
-	for id := 0; id < v.stats.Authors; id++ {
-		if v.nameIDs[id] >= 0 {
-			seg := &segs[v.vertShard[id]]
-			seg.verts = append(seg.verts, id)
-		}
-	}
-	v.eachEdge(func(u, x int) {
-		seg := &segs[v.vertShard[u]]
-		seg.edges = append(seg.edges, [2]int{u, x})
-	})
-	v.eachSlot(func(s Slot, vert int) {
-		seg := &segs[v.vertShard[vert]]
-		seg.slots = append(seg.slots, segSlot{slot: s, vert: vert})
-	})
-	body := bodyParts{tails: p.tails, extra: v.extra}
-	return writeComposite(path, p.pl, p.Epoch(), seeds, v.stats.Authors, segs, dead, v, body)
-}
-
-// deadVertices lists the vertices voided by a partial recovery.
-func (v *View) deadVertices() []int {
-	var dead []int
-	for id, nid := range v.nameIDs[:v.stats.Authors] {
-		if nid < 0 {
-			dead = append(dead, id)
-		}
-	}
-	return dead
+	return WriteFileAtomic(path, p.Encode)
 }
 
 // eachEdge visits every collaboration edge once, ascending by (lo, hi)
-// — the order the reference writers sort EdgePapers keys into.
+// — the order the reference writer sorts EdgePapers keys into.
 func (v *View) eachEdge(fn func(u, x int)) {
 	for u := 0; u < v.stats.Authors; u++ {
 		nbrs, _ := v.Coauthors(u)

@@ -203,3 +203,115 @@ func TestViewPublisher(t *testing.T) {
 		t.Fatal("old view resolves a slot published after it")
 	}
 }
+
+// TestViewMatchesPipeline checks that the initial view answers every
+// vertex, name listing and slot exactly as the pipeline it was built
+// from.
+func TestViewMatchesPipeline(t *testing.T) {
+	d := testDataset(21)
+	pl, err := Run(d.Corpus, fastCoreConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := NewViewPublisher(pl, 0).Current()
+	for id := range pl.GCN.Verts {
+		vert := &pl.GCN.Verts[id]
+		name, ok := v.AuthorName(id)
+		if !ok || name != vert.Name {
+			t.Fatalf("AuthorName(%d) = %q/%v, want %q", id, name, ok, vert.Name)
+		}
+		papers, _ := v.AuthorPapers(id)
+		if len(papers) != len(vert.Papers) {
+			t.Fatalf("vertex %d papers %d, want %d", id, len(papers), len(vert.Papers))
+		}
+		for i := range papers {
+			if papers[i] != vert.Papers[i] {
+				t.Fatalf("vertex %d paper %d differs", id, i)
+			}
+		}
+		nbrs, _ := v.Coauthors(id)
+		want := appendNeighborIDs(pl.GCN, id, nil)
+		if len(nbrs) != len(want) {
+			t.Fatalf("vertex %d degree %d, want %d", id, len(nbrs), len(want))
+		}
+		for i := range nbrs {
+			if nbrs[i] != want[i] {
+				t.Fatalf("vertex %d neighbor %d differs", id, i)
+			}
+		}
+		found := false
+		for _, x := range v.VerticesOfName(vert.Name) {
+			found = found || int(x) == id
+		}
+		if !found {
+			t.Fatalf("VerticesOfName(%q) misses vertex %d", vert.Name, id)
+		}
+	}
+	for slot, want := range pl.GCN.SlotVertex {
+		got, ok := v.ResolveSlot(slot)
+		if !ok || got != want {
+			t.Fatalf("ResolveSlot(%+v) = %d/%v, want %d", slot, got, ok, want)
+		}
+		// An index past the paper's slots must not wrap onto a real one.
+		if _, ok := v.ResolveSlot(Slot{Paper: slot.Paper, Index: slot.Index + 1<<32}); ok {
+			t.Fatalf("ResolveSlot(%+v + 2^32) resolved", slot)
+		}
+	}
+}
+
+// TestPublishEquivalence streams batches through a publisher and
+// requires, after every publish, that the incrementally published view
+// answers exactly like a view built from scratch over the same
+// pipeline — the base+delta layering must be invisible.
+func TestPublishEquivalence(t *testing.T) {
+	d := testDataset(22)
+	pl, err := Run(d.Corpus, fastCoreConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vp := NewViewPublisher(pl, 0)
+	const rounds, per = 6, 5
+	for r := 0; r < rounds; r++ {
+		batch := streamBatch(d, per*(r+1))[per*r:]
+		res, err := pl.AddPapers(context.Background(), batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := vp.Publish(res)
+		want := NewViewPublisher(pl, got.Epoch()).Current()
+		if got.Stats() != want.Stats() {
+			t.Fatalf("round %d: stats %+v, want %+v", r, got.Stats(), want.Stats())
+		}
+		for id := 0; id < got.Stats().Authors; id++ {
+			gn, gok := got.AuthorName(id)
+			wn, wok := want.AuthorName(id)
+			if gn != wn || gok != wok {
+				t.Fatalf("round %d: AuthorName(%d) = %q, want %q", r, id, gn, wn)
+			}
+			if gv, wv := got.VerticesOfName(gn), want.VerticesOfName(wn); fmt.Sprint(gv) != fmt.Sprint(wv) {
+				t.Fatalf("round %d: VerticesOfName(%q) = %v, want %v", r, gn, gv, wv)
+			}
+			gp, _ := got.AuthorPapers(id)
+			wp, _ := want.AuthorPapers(id)
+			if fmt.Sprint(gp) != fmt.Sprint(wp) {
+				t.Fatalf("round %d: vertex %d papers %v, want %v", r, id, gp, wp)
+			}
+			gc, _ := got.Coauthors(id)
+			wc, _ := want.Coauthors(id)
+			if fmt.Sprint(gc) != fmt.Sprint(wc) {
+				t.Fatalf("round %d: vertex %d coauthors %v, want %v", r, id, gc, wc)
+			}
+		}
+		for p := 0; p < got.Stats().Papers; p++ {
+			meta, _ := got.PaperMeta(bib.PaperID(p))
+			for i := range meta.Authors {
+				s := Slot{Paper: bib.PaperID(p), Index: i}
+				gv, gok := got.ResolveSlot(s)
+				wv, wok := want.ResolveSlot(s)
+				if gv != wv || gok != wok {
+					t.Fatalf("round %d: ResolveSlot(%+v) = %d/%v, want %d/%v", r, s, gv, gok, wv, wok)
+				}
+			}
+		}
+	}
+}

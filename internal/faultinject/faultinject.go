@@ -31,7 +31,7 @@ type Point int32
 
 const (
 	// PublishDelay fires in ViewPublisher.Apply before the epoch's
-	// composite view is built and swapped in — a hook here delays
+	// view is built and swapped in — a hook here delays
 	// every epoch publish (and, transitively, backs the ingest queue
 	// up) without holding any lock readers could touch.
 	PublishDelay Point = iota

@@ -46,7 +46,7 @@ import (
 // only ever reads the map. /healthz is deliberately absent — probes
 // are exempt from the latency SLO mix.
 var endpointNames = []string{
-	"stats", "shards", "metrics",
+	"stats", "metrics",
 	"resolve", "authors_by_name", "author", "coauthors", "paper",
 	"network", "communities", "ego", "collaborators", "clustering",
 	"ingest",
@@ -244,13 +244,6 @@ func (s *Server) routes(svc *iuad.Service) *http.ServeMux {
 	handle("/v1/stats", "stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, svc.Stats())
 	})
-	handle("/shards", "shards", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"epoch":      svc.Epoch(),
-			"shards":     svc.Shards(),
-			"contention": svc.Contention(),
-		})
-	})
 	handle("/metrics", "metrics", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Metrics())
 	})
@@ -261,13 +254,13 @@ func (s *Server) routes(svc *iuad.Service) *http.ServeMux {
 		writeJSON(w, http.StatusOK, svc.Communities())
 	})
 	handle("/v1/resolve", "resolve", func(w http.ResponseWriter, r *http.Request) {
-		paper, err1 := strconv.Atoi(r.URL.Query().Get("paper"))
+		paper, err1 := parsePaperID(r.URL.Query().Get("paper"))
 		index, err2 := strconv.Atoi(r.URL.Query().Get("index"))
 		if err1 != nil || err2 != nil {
 			writeErrorCode(w, http.StatusBadRequest, "bad_request", "resolve needs integer ?paper= and ?index=")
 			return
 		}
-		a, err := svc.ResolveSlot(iuad.Slot{Paper: iuad.PaperID(paper), Index: index})
+		a, err := svc.ResolveSlot(iuad.Slot{Paper: paper, Index: index})
 		if err != nil {
 			writeError(w, err)
 			return
@@ -356,12 +349,12 @@ func (s *Server) routes(svc *iuad.Service) *http.ServeMux {
 	mux.HandleFunc("/v1/papers/", func(w http.ResponseWriter, r *http.Request) {
 		s.measured("paper", w, r, func(w http.ResponseWriter, r *http.Request) {
 			idStr := strings.TrimPrefix(r.URL.Path, "/v1/papers/")
-			id, err := strconv.Atoi(idStr)
+			id, err := parsePaperID(idStr)
 			if err != nil {
 				writeErrorCode(w, http.StatusBadRequest, "bad_request", "bad paper id "+strconv.Quote(idStr))
 				return
 			}
-			p, err := svc.Paper(iuad.PaperID(id))
+			p, err := svc.Paper(id)
 			if err != nil {
 				writeError(w, err)
 				return
@@ -371,6 +364,13 @@ func (s *Server) routes(svc *iuad.Service) *http.ServeMux {
 	})
 	handle("/v1/papers", "ingest", s.handleIngest)
 	return mux
+}
+
+// parsePaperID parses a decimal paper ID. IDs are 32-bit, so a larger
+// number is a bad request rather than one that wraps onto a real paper.
+func parsePaperID(s string) (iuad.PaperID, error) {
+	id, err := strconv.ParseInt(s, 10, 32)
+	return iuad.PaperID(id), err
 }
 
 // measured wraps one dynamic-path request with the same accounting

@@ -89,6 +89,9 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 		{"unknown paper", get("/v1/papers/999999"), 404, "not_found"},
 		{"bad resolve params", get("/v1/resolve?paper=a&index=b"), 400, "bad_request"},
 		{"unknown slot", get("/v1/resolve?paper=999999&index=0"), 404, "not_found"},
+		{"paper id past 32 bits", get("/v1/papers/4294967296"), 400, "bad_request"},
+		{"resolve paper past 32 bits", get("/v1/resolve?paper=4294967296&index=0"), 400, "bad_request"},
+		{"resolve index past 32 bits", get("/v1/resolve?paper=0&index=4294967296"), 404, "not_found"},
 		{"GET on ingest", get("/v1/papers"), 405, "method_not_allowed"},
 		{"malformed JSON", post("{nope"), 400, "bad_request"},
 		{"invalid paper", post(`{"title":"x","authors":[]}`), 400, "bad_request"},

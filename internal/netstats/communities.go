@@ -11,7 +11,7 @@ import (
 const maxLabelRounds = 64
 
 // Communities is the deterministic label-propagation partition of one
-// epoch's live vertices.
+// epoch's vertices.
 type Communities struct {
 	Epoch uint64 `json:"epoch"`
 	Count int    `json:"count"`
@@ -25,8 +25,7 @@ type Communities struct {
 	Sizes []int `json:"sizes"`
 	// Labels maps every global vertex ID to its community index —
 	// communities are numbered by descending size, ties broken by
-	// smallest member ID — or −1 for dead vertices. Shared; do not
-	// mutate.
+	// smallest member ID. Shared; do not mutate.
 	Labels []int32 `json:"-"`
 }
 
@@ -43,8 +42,8 @@ type communitiesOnce struct {
 // sweeps visit vertices in ascending ID order updating in place, each
 // vertex adopts the label with the highest incident edge-weight sum
 // with ties broken by the smallest label value, and the sweep loop is
-// serial — so the partition is byte-identical across runs, worker
-// counts, and shard counts for the same epoch.
+// serial — so the partition is byte-identical across runs and worker
+// counts for the same epoch.
 func (g *Graph) Communities() *Communities {
 	g.comm.once.Do(func() { g.comm.res = g.computeCommunities() })
 	return g.comm.res
@@ -61,9 +60,6 @@ func (g *Graph) computeCommunities() *Communities {
 		res.Rounds++
 		changed := 0
 		for v := 0; v < g.n; v++ {
-			if g.dead[v] {
-				continue
-			}
 			row, w := g.row(v)
 			if len(row) == 0 {
 				continue
@@ -98,7 +94,7 @@ func (g *Graph) computeCommunities() *Communities {
 	}
 
 	// Canonicalize: communities numbered by descending size, ties by
-	// smallest member ID; dead vertices get −1.
+	// smallest member ID.
 	type comm struct {
 		label int32
 		size  int
@@ -106,9 +102,6 @@ func (g *Graph) computeCommunities() *Communities {
 	}
 	byLabel := map[int32]*comm{}
 	for v := 0; v < g.n; v++ {
-		if g.dead[v] {
-			continue
-		}
 		c, ok := byLabel[labels[v]]
 		if !ok {
 			c = &comm{label: labels[v], min: int32(v)}
@@ -137,11 +130,7 @@ func (g *Graph) computeCommunities() *Communities {
 	}
 	res.Labels = make([]int32, g.n)
 	for v := 0; v < g.n; v++ {
-		if g.dead[v] {
-			res.Labels[v] = -1
-		} else {
-			res.Labels[v] = index[labels[v]]
-		}
+		res.Labels[v] = index[labels[v]]
 	}
 	return res
 }

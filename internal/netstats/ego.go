@@ -42,10 +42,10 @@ type EgoGraph struct {
 }
 
 // Ego returns the ego subgraph of center bounded by hops (0 returns
-// just the center) and the MaxEgoVertices cap, reporting false for a
-// dead or out-of-range center. hops above MaxEgoHops is clamped.
+// just the center) and the MaxEgoVertices cap, reporting false for an
+// out-of-range center. hops above MaxEgoHops is clamped.
 func (g *Graph) Ego(center, hops int) (EgoGraph, bool) {
-	if !g.Live(center) {
+	if !g.Has(center) {
 		return EgoGraph{}, false
 	}
 	if hops < 0 {
@@ -136,10 +136,10 @@ type Collaborator struct {
 
 // TopCollaborators returns the k strongest coauthors of id — ordered
 // by shared-paper count descending, ties broken by ascending ID — and
-// reports false for a dead or out-of-range id. k ≤ 0 returns every
+// reports false for an out-of-range id. k ≤ 0 returns every
 // coauthor.
 func (g *Graph) TopCollaborators(id, k int) ([]Collaborator, bool) {
-	if !g.Live(id) {
+	if !g.Has(id) {
 		return nil, false
 	}
 	row, w := g.row(id)

@@ -10,9 +10,7 @@
 // the same epoch is bit-identical. Edge weights are shared-paper
 // counts (the merge-join intersection size of the endpoints' sorted
 // paper sets), the weighted-collaboration measure the bottom-up
-// reconstruction exists to expose. Vertices lost to a partial snapshot
-// recovery (dead vertices: AuthorName reports false) keep their global
-// IDs but carry empty rows and are excluded from every statistic.
+// reconstruction exists to expose.
 //
 // Determinism contract: every query on a Graph — including the
 // parallel compile itself and label-propagation Communities — returns
@@ -36,19 +34,16 @@ import (
 )
 
 // Graph is one epoch's immutable weighted collaboration network in CSR
-// form, indexed by global vertex ID (the IDs the serving surface and
-// the spine's routing columns use).
+// form, indexed by vertex ID (the IDs the serving surface uses).
 type Graph struct {
 	epoch  uint64
-	n      int // vertex-ID space, including dead vertices
-	live   int // vertices that answer queries
-	edges  int // undirected edges between live vertices
+	n      int // vertices
+	edges  int // undirected edges
 	weight int64
 
-	off  []int32 // CSR row offsets, len n+1
-	adj  []int32 // neighbor global IDs, ascending within each row
-	w    []int32 // shared-paper count per adjacency entry
-	dead []bool  // lost to partial recovery; empty rows
+	off []int32 // CSR row offsets, len n+1
+	adj []int32 // neighbor IDs, ascending within each row
+	w   []int32 // shared-paper count per adjacency entry
 
 	stats NetworkStats
 	comm  communitiesOnce
@@ -57,18 +52,15 @@ type Graph struct {
 // Epoch returns the publish epoch this graph was compiled from.
 func (g *Graph) Epoch() uint64 { return g.epoch }
 
-// NumVertices returns the vertex-ID space size (dead vertices
-// included, so IDs are interchangeable with the serving surface's).
+// NumVertices returns the number of vertices.
 func (g *Graph) NumVertices() int { return g.n }
 
-// Live reports whether id is a live, queryable vertex.
-func (g *Graph) Live(id int) bool {
-	return id >= 0 && id < g.n && !g.dead[id]
-}
+// Has reports whether id is a vertex of the graph.
+func (g *Graph) Has(id int) bool { return id >= 0 && id < g.n }
 
-// Degree returns the live degree of id (dead vertices report 0).
+// Degree returns the degree of id (0 when id is out of range).
 func (g *Graph) Degree(id int) int {
-	if id < 0 || id >= g.n {
+	if !g.Has(id) {
 		return 0
 	}
 	return int(g.off[id+1] - g.off[id])
@@ -87,30 +79,15 @@ func (g *Graph) row(id int) (adj, w []int32) {
 // value (sched.Workers semantics: n ≤ 0 means one per logical CPU).
 func Compile(v *core.View, workers int) *Graph {
 	n := v.NumVertices()
-	g := &Graph{epoch: v.Epoch(), n: n, dead: make([]bool, n)}
+	g := &Graph{epoch: v.Epoch(), n: n}
 
-	// Pass 1 (serial): liveness, then filtered degrees → row offsets.
-	// Adjacency rows are the view's shared slices; nothing is copied.
-	for id := 0; id < n; id++ {
-		if _, ok := v.AuthorName(id); !ok {
-			g.dead[id] = true
-		} else {
-			g.live++
-		}
-	}
+	// Pass 1 (serial): degrees → row offsets.
 	g.off = make([]int32, n+1)
 	total := int32(0)
 	for id := 0; id < n; id++ {
 		g.off[id] = total
-		if g.dead[id] {
-			continue
-		}
 		row, _ := v.Coauthors(id)
-		for _, u := range row {
-			if !g.dead[u] {
-				total++
-			}
-		}
+		total += int32(len(row))
 	}
 	g.off[n] = total
 	g.adj = make([]int32, total)
@@ -124,16 +101,10 @@ func Compile(v *core.View, workers int) *Graph {
 	// way.
 	wk := sched.Workers(workers)
 	sched.ForEach(wk, n, func(id int) {
-		if g.dead[id] {
-			return
-		}
 		papers, _ := v.AuthorPapers(id)
 		row, _ := v.Coauthors(id)
 		at := g.off[id]
 		for _, u := range row {
-			if g.dead[u] {
-				continue
-			}
 			up, _ := v.AuthorPapers(int(u))
 			g.adj[at] = u
 			g.w[at] = int32(intersectPapers(papers, up))

@@ -49,7 +49,7 @@ func fingerprint(g *Graph) []byte {
 			}
 		}
 	}
-	w(g.epoch, int64(g.n), int64(g.live), int64(g.edges), g.weight)
+	w(g.epoch, int64(g.n), int64(g.edges), g.weight)
 	w(g.off, g.adj, g.w)
 	st := g.Stats()
 	fmt.Fprintf(&buf, "%+v|%x|%x|%x", st, st.Density, st.AvgClustering, st.DegreeSlope)
@@ -61,7 +61,7 @@ func fingerprint(g *Graph) []byte {
 
 // TestCompileInvariants checks the structural contracts of the CSR:
 // sorted symmetric rows with positive weights, edge and component
-// accounting that sums to the live-vertex count, and density/histogram
+// accounting that sums to the vertex count, and density/histogram
 // sanity.
 func TestCompileInvariants(t *testing.T) {
 	v := testView(t, 42, 2)
@@ -70,8 +70,8 @@ func TestCompileInvariants(t *testing.T) {
 	if g.Epoch() != v.Epoch() {
 		t.Fatalf("graph epoch %d, view epoch %d", g.Epoch(), v.Epoch())
 	}
-	if g.n != v.NumVertices() || g.live != g.n {
-		t.Fatalf("vertices %d live %d, view has %d (no dead expected)", g.n, g.live, v.NumVertices())
+	if g.n != v.NumVertices() {
+		t.Fatalf("vertices %d, view has %d", g.n, v.NumVertices())
 	}
 	total := 0
 	for id := 0; id < g.n; id++ {
@@ -97,7 +97,7 @@ func TestCompileInvariants(t *testing.T) {
 	}
 
 	st := g.Stats()
-	if st.Edges != g.edges || st.Authors != g.live {
+	if st.Edges != g.edges || st.Authors != g.n {
 		t.Fatalf("stats %+v out of sync with graph", st)
 	}
 	if st.Density < 0 || st.Density > 1 {
@@ -107,11 +107,11 @@ func TestCompileInvariants(t *testing.T) {
 	for _, b := range st.DegreeHistogram {
 		sum += b.Count
 	}
-	if sum != g.live {
-		t.Fatalf("degree histogram sums to %d, want %d", sum, g.live)
+	if sum != g.n {
+		t.Fatalf("degree histogram sums to %d, want %d", sum, g.n)
 	}
-	if st.LargestComponent > g.live || st.Components < 1 {
-		t.Fatalf("components %d largest %d implausible for %d live", st.Components, st.LargestComponent, g.live)
+	if st.LargestComponent > g.n || st.Components < 1 {
+		t.Fatalf("components %d largest %d implausible for %d vertices", st.Components, st.LargestComponent, g.n)
 	}
 	if st.AvgClustering < 0 || st.AvgClustering > 1 {
 		t.Fatalf("avg clustering %v out of [0,1]", st.AvgClustering)
@@ -140,7 +140,7 @@ func TestClusteringMatchesBruteForce(t *testing.T) {
 		}
 		c, ok := g.ClusteringOf(id)
 		if !ok {
-			t.Fatalf("live vertex %d reported not ok", id)
+			t.Fatalf("vertex %d reported not ok", id)
 		}
 		if c.Triangles != brute {
 			t.Fatalf("vertex %d: %d triangles, brute force %d", id, c.Triangles, brute)
@@ -207,7 +207,7 @@ func TestTopCollaborators(t *testing.T) {
 	for id := 0; id < g.n; id++ {
 		all, ok := g.TopCollaborators(id, 0)
 		if !ok {
-			t.Fatalf("live vertex %d reported not ok", id)
+			t.Fatalf("vertex %d reported not ok", id)
 		}
 		if len(all) != g.Degree(id) {
 			t.Fatalf("vertex %d: %d collaborators, degree %d", id, len(all), g.Degree(id))
@@ -233,9 +233,9 @@ func TestTopCollaborators(t *testing.T) {
 	}
 }
 
-// TestCommunitiesContract checks the partition invariants: every live
+// TestCommunitiesContract checks the partition invariants: every
 // vertex is labeled, labels are dense community indexes ordered by
-// descending size, and sizes sum to the live count.
+// descending size, and sizes sum to the vertex count.
 func TestCommunitiesContract(t *testing.T) {
 	g := Compile(testView(t, 42, 1), 1)
 	c := g.Communities()
@@ -256,8 +256,8 @@ func TestCommunitiesContract(t *testing.T) {
 		}
 		sum += n
 	}
-	if sum != g.live {
-		t.Fatalf("community sizes sum to %d, want %d", sum, g.live)
+	if sum != g.n {
+		t.Fatalf("community sizes sum to %d, want %d", sum, g.n)
 	}
 	for i := 1; i < len(c.Sizes); i++ {
 		if c.Sizes[i] > c.Sizes[i-1] {

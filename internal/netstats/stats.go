@@ -13,8 +13,8 @@ import (
 // carries no information the count doesn't.
 const maxReportedSizes = 32
 
-// DegreeBucket is one point of the degree distribution: Count live
-// vertices have exactly Degree live coauthors.
+// DegreeBucket is one point of the degree distribution: Count
+// vertices have exactly Degree coauthors.
 type DegreeBucket struct {
 	Degree int `json:"degree"`
 	Count  int `json:"count"`
@@ -25,10 +25,9 @@ type DegreeBucket struct {
 // integer aggregates reduced in ascending vertex order, so they are
 // byte-identical across runs and worker counts.
 type NetworkStats struct {
-	Epoch        uint64 `json:"epoch"`
-	Authors      int    `json:"authors"` // live vertices
-	DeadVertices int    `json:"dead_vertices,omitempty"`
-	Edges        int    `json:"edges"`
+	Epoch   uint64 `json:"epoch"`
+	Authors int    `json:"authors"`
+	Edges   int    `json:"edges"`
 	// TotalWeight sums edge weights: coauthored (author, author, paper)
 	// triples counted once per pair.
 	TotalWeight int64   `json:"total_weight"`
@@ -42,7 +41,7 @@ type NetworkStats struct {
 	ComponentSizes []int `json:"component_sizes"`
 
 	// AvgClustering is the Watts–Strogatz average of per-vertex local
-	// clustering coefficients over live vertices (degree < 2 counts 0).
+	// clustering coefficients over all vertices (degree < 2 counts 0).
 	AvgClustering float64 `json:"avg_clustering"`
 	Triangles     int64   `json:"triangles"`
 
@@ -69,9 +68,9 @@ type Clustering struct {
 func (g *Graph) Stats() NetworkStats { return g.stats }
 
 // ClusteringOf returns the local clustering summary of one vertex,
-// reporting false for dead or out-of-range IDs.
+// reporting false for out-of-range IDs.
 func (g *Graph) ClusteringOf(id int) (Clustering, bool) {
-	if !g.Live(id) {
+	if !g.Has(id) {
 		return Clustering{}, false
 	}
 	tri := g.trianglesAt(id)
@@ -97,14 +96,13 @@ func (g *Graph) trianglesAt(id int) int {
 
 func computeStats(g *Graph, workers int) NetworkStats {
 	st := NetworkStats{
-		Epoch:        g.epoch,
-		Authors:      g.live,
-		DeadVertices: g.n - g.live,
-		Edges:        g.edges,
-		TotalWeight:  g.weight,
+		Epoch:       g.epoch,
+		Authors:     g.n,
+		Edges:       g.edges,
+		TotalWeight: g.weight,
 	}
-	if g.live >= 2 {
-		st.Density = 2 * float64(g.edges) / (float64(g.live) * float64(g.live-1))
+	if g.n >= 2 {
+		st.Density = 2 * float64(g.edges) / (float64(g.n) * float64(g.n-1))
 	}
 
 	// Connected components: iterative DFS in ascending start order.
@@ -115,7 +113,7 @@ func computeStats(g *Graph, workers int) NetworkStats {
 	var sizes []int
 	var stack []int32
 	for start := 0; start < g.n; start++ {
-		if g.dead[start] || comp[start] >= 0 {
+		if comp[start] >= 0 {
 			continue
 		}
 		id := int32(len(sizes))
@@ -140,21 +138,18 @@ func computeStats(g *Graph, workers int) NetworkStats {
 	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
 	if len(sizes) > 0 {
 		st.LargestComponent = sizes[0]
-		st.LargestComponentFraction = float64(sizes[0]) / float64(g.live)
+		st.LargestComponentFraction = float64(sizes[0]) / float64(g.n)
 	}
 	if len(sizes) > maxReportedSizes {
 		sizes = sizes[:maxReportedSizes]
 	}
 	st.ComponentSizes = sizes
 
-	// Degree histogram + power-law slope; isolated = degree-0 live
+	// Degree histogram + power-law slope; isolated = degree-0
 	// vertices.
 	hist := map[int]int{}
 	fit := stats.NewHistogram(nil)
 	for id := 0; id < g.n; id++ {
-		if g.dead[id] {
-			continue
-		}
 		d := g.Degree(id)
 		hist[d]++
 		fit.Add(d)
@@ -181,11 +176,11 @@ func computeStats(g *Graph, workers int) NetworkStats {
 	// Average clustering: per-vertex coefficients fill disjoint slots
 	// in parallel; the float sum reduces serially in ascending vertex
 	// order so the result is bit-stable for every worker count.
-	if g.live > 0 {
+	if g.n > 0 {
 		coef := make([]float64, g.n)
 		tris := make([]int64, g.n)
 		sched.ForEach(workers, g.n, func(id int) {
-			if g.dead[id] || g.Degree(id) < 2 {
+			if g.Degree(id) < 2 {
 				return
 			}
 			t := g.trianglesAt(id)
@@ -199,7 +194,7 @@ func computeStats(g *Graph, workers int) NetworkStats {
 			st.Triangles += tris[id]
 		}
 		st.Triangles /= 3 // each triangle counted at all three corners
-		st.AvgClustering = sum / float64(g.live)
+		st.AvgClustering = sum / float64(g.n)
 	}
 	return st
 }

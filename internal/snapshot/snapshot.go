@@ -192,33 +192,22 @@ func (e *ErrFormat) Error() string { return "snapshot: " + e.msg }
 // NewReader validates the magic and version and returns a reader.
 // wantVersion is the only version the caller understands.
 func NewReader(r io.Reader, wantVersion uint64) (*Reader, error) {
-	sr, _, err := NewReaderVersions(r, wantVersion)
-	return sr, err
-}
-
-// NewReaderVersions validates the magic and accepts any of the listed
-// versions, returning the reader and the version actually found. It is
-// the entry point for callers that dispatch on format (e.g. legacy
-// single-file service snapshots vs the sharded composite manifest).
-func NewReaderVersions(r io.Reader, want ...uint64) (*Reader, uint64, error) {
 	sr := &Reader{r: bufio.NewReader(r)}
 	magic := make([]byte, len(Magic))
 	if _, err := io.ReadFull(sr.r, magic); err != nil {
-		return nil, 0, &ErrFormat{msg: "not a pipeline snapshot (short magic): " + err.Error()}
+		return nil, &ErrFormat{msg: "not a pipeline snapshot (short magic): " + err.Error()}
 	}
 	if string(magic) != Magic {
-		return nil, 0, &ErrFormat{msg: fmt.Sprintf("bad magic %q", magic)}
+		return nil, &ErrFormat{msg: fmt.Sprintf("bad magic %q", magic)}
 	}
 	v := sr.Uvarint()
 	if sr.err != nil {
-		return nil, 0, sr.err
+		return nil, sr.err
 	}
-	for _, w := range want {
-		if v == w {
-			return sr, v, nil
-		}
+	if v != wantVersion {
+		return nil, &ErrFormat{msg: fmt.Sprintf("snapshot version %d, this build reads %d", v, wantVersion)}
 	}
-	return nil, 0, &ErrFormat{msg: fmt.Sprintf("snapshot version %d, this build reads %v", v, want)}
+	return sr, nil
 }
 
 // Err returns the latched error, if any.

@@ -71,7 +71,7 @@ const (
 
 	// recordVersion is the snapshot-stream version of a record payload
 	// (the 2000+ namespace is the journal's; pipeline/service snapshots
-	// use 1/1001/1002/1003).
+	// use 1/1001).
 	recordVersion = 2001
 
 	// maxRecordBytes bounds a single record; a length field past it is

@@ -180,17 +180,9 @@ type Assignment = core.Assignment
 // anchor the generative model.
 type LabeledPair = core.LabeledPair
 
-// ShardInfo is the per-shard serving summary returned by
-// Service.Shards (see WithShards and DESIGN.md §11).
-type ShardInfo = core.ShardInfo
-
 // ContentionStats is the write-path contention accounting returned by
 // Service.Contention.
 type ContentionStats = core.ContentionStats
-
-// RecoveryReport describes what a partial snapshot load lost; returned
-// by Service.Recovery (see WithPartialRecovery).
-type RecoveryReport = core.RecoveryReport
 
 // SyntheticConfig parameterizes the bundled DBLP-like corpus generator
 // (used when no real bibliography is at hand; see DESIGN.md).

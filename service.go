@@ -7,9 +7,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,16 +34,6 @@ import (
 // reader may observe the epoch from just before a concurrent write —
 // never a torn one. See DESIGN.md §8.
 //
-// # Sharding
-//
-// The serving state is partitioned by name block across N shards
-// (WithShards; see DESIGN.md §11). Core assignment and publishing stay
-// serialized — one commit at a time, which is what makes results
-// bit-identical for every shard count — but a write batch's publish
-// rebuilds only the shards its author names hash to, so its cost is
-// about 1/N of the unsharded one, and queries fan out lock-free over
-// the shards' immutable segments and merge deterministically.
-//
 // Construct a Service with Open (corpus in, fitted service out) or
 // NewService (wrap an already-fitted Pipeline).
 type Service struct {
@@ -55,7 +43,6 @@ type Service struct {
 	q            *ingestq.Queue  // admission control + commit turn (DESIGN.md §12)
 	net          *netstats.Cache // epoch-keyed analytics (DESIGN.md §13)
 	snapshotPath string
-	recovery     *core.RecoveryReport
 	closed       bool
 
 	// Crash-safe continuous durability (WithJournal; DESIGN.md §14).
@@ -102,8 +89,6 @@ type options struct {
 	workers      int
 	workersSet   bool
 	snapshotPath string
-	shards       int
-	allowPartial bool
 	ingest       ingestq.Config
 	journalDir   string
 	journal      wal.Config
@@ -163,16 +148,6 @@ func WithJournalConfig(dir string, cfg JournalConfig) Option {
 	return func(o *options) { o.journalDir = dir; o.journal = cfg }
 }
 
-// WithShards partitions the serving state across n shards keyed by the
-// hash of the author-name block (clamped to [1, 256]; default 1).
-// Assignments and every query answer are bit-identical for every
-// value; the knob only changes write-path contention and snapshot
-// layout: with n > 1 snapshots are saved as a composite manifest plus
-// one segment file per shard, written and loaded in parallel.
-func WithShards(n int) Option {
-	return func(o *options) { o.shards = n }
-}
-
 // WithIngestConfig configures the ingest admission queue: MaxQueued
 // bounds it in papers (admitted but not yet committed; default 1024)
 // and RetryAfter is the backoff hint (default 1s). Past the bound
@@ -182,16 +157,6 @@ func WithShards(n int) Option {
 // fields take the defaults. See DESIGN.md §12.
 func WithIngestConfig(cfg ingestq.Config) Option {
 	return func(o *options) { o.ingest = cfg }
-}
-
-// WithPartialRecovery lets Open serve a composite snapshot even when
-// some segment files are missing or corrupt: the lost shards' authors
-// come back as unknown (their names simply start from scratch on the
-// next ingest) while every surviving shard answers exactly as before.
-// Recovery reports what was lost. Without this option a damaged
-// composite refuses to load.
-func WithPartialRecovery() Option {
-	return func(o *options) { o.allowPartial = true }
 }
 
 // Open builds a serving Service. With a snapshot option whose file
@@ -214,10 +179,10 @@ func Open(corpus *Corpus, opts ...Option) (*Service, error) {
 		return openJournaled(corpus, &o)
 	}
 	if o.snapshotPath != "" {
-		pl, epoch, seeds, rep, err := core.OpenServiceSnapshot(o.snapshotPath, o.allowPartial)
+		pl, epoch, err := core.LoadServiceSnapshot(o.snapshotPath)
 		switch {
 		case err == nil:
-			return newService(pl, epoch, &o, seeds, rep), nil
+			return newService(pl, epoch, &o), nil
 		case !errors.Is(err, fs.ErrNotExist):
 			return nil, fmt.Errorf("iuad: load snapshot %s: %w", o.snapshotPath, err)
 		}
@@ -226,7 +191,7 @@ func Open(corpus *Corpus, opts ...Option) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newService(pl, 0, &o, nil, nil), nil
+	return newService(pl, 0, &o), nil
 }
 
 // fitCorpus runs the expensive fit path on a frozen corpus.
@@ -268,14 +233,14 @@ func openJournaled(corpus *Corpus, o *options) (*Service, error) {
 	// left its temp file behind, and no one else will delete it.
 	core.RemoveAtomicTemps(j.Dir())
 	base := j.BasePath()
-	pl, epoch, seeds, rep, err := core.OpenServiceSnapshot(base, o.allowPartial)
+	pl, epoch, err := core.LoadServiceSnapshot(base)
 	switch {
 	case err == nil:
 	case errors.Is(err, fs.ErrNotExist):
 		// Fresh directory (or crash before the first compaction): fit
 		// the corpus. The fit is deterministic, so journaled batches
 		// replay onto an identical starting state.
-		epoch, seeds, rep = 0, nil, nil
+		epoch = 0
 		pl, err = fitCorpus(corpus, o)
 		if err != nil {
 			return nil, err
@@ -283,7 +248,7 @@ func openJournaled(corpus *Corpus, o *options) (*Service, error) {
 	default:
 		return nil, fmt.Errorf("iuad: load base snapshot %s: %w", base, err)
 	}
-	s := newService(pl, epoch, o, seeds, rep)
+	s := newService(pl, epoch, o)
 	s.journal = j
 	s.journalBase = base
 	s.compactEvery = o.journal.CompactEvery
@@ -327,19 +292,18 @@ func NewService(pl *Pipeline, opts ...Option) (*Service, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newService(pl, 0, &o, nil, nil), nil
+	return newService(pl, 0, &o), nil
 }
 
-func newService(pl *core.Pipeline, epoch uint64, o *options, seeds []core.ShardSeed, rep *core.RecoveryReport) *Service {
+func newService(pl *core.Pipeline, epoch uint64, o *options) *Service {
 	if o.workersSet {
 		pl.Cfg.Workers = o.workers
 	}
 	s := &Service{
 		pl:           pl,
-		pub:          core.NewShardedViewPublisher(pl, epoch, core.NormShards(o.shards), seeds),
+		pub:          core.NewViewPublisher(pl, epoch),
 		net:          netstats.NewCache(pl.Cfg.Workers),
 		snapshotPath: o.snapshotPath,
-		recovery:     rep,
 	}
 	s.q = ingestq.New(s.commitBatch, o.ingest)
 	return s
@@ -467,23 +431,14 @@ func (s *Service) compactionDue() bool {
 	return bytes*compactRatio >= s.baseBytes.Load()
 }
 
-// snapshotBytes sums the files of the snapshot at path: the single file
-// or manifest plus, for a composite, the segment files named after it.
+// snapshotBytes is the size of the snapshot file at path (0 when
+// there is none).
 func snapshotBytes(path string) int64 {
-	entries, err := os.ReadDir(filepath.Dir(path))
+	fi, err := os.Stat(path)
 	if err != nil {
 		return 0
 	}
-	var n int64
-	for _, e := range entries {
-		if !strings.HasPrefix(e.Name(), filepath.Base(path)) {
-			continue
-		}
-		if fi, err := e.Info(); err == nil {
-			n += fi.Size()
-		}
-	}
-	return n
+	return fi.Size()
 }
 
 // Compact writes a fresh base snapshot into the journal directory and
@@ -625,12 +580,9 @@ func (s *Service) Paper(id PaperID) (*Paper, error) {
 	return p, nil
 }
 
-// Save writes a legacy single-file service snapshot (serving header +
-// full pipeline state) to w. A service restored from it with Open
-// answers every query and ingest bit-identically. Save refuses a
-// partially-recovered service (its dead vertices have no legacy
-// representation); use SaveFile, whose composite format carries them.
-// Like every snapshot of a live service it is encoded from a pinned
+// Save writes a service snapshot (serving header + full pipeline
+// state) to w. A service restored from it with Open answers every
+// query and ingest bit-identically. Like every snapshot of a live service it is encoded from a pinned
 // epoch: writers are held out only while the epoch is pinned.
 func (s *Service) Save(w io.Writer) error {
 	return s.pin().Encode(w)
@@ -640,16 +592,13 @@ func (s *Service) Save(w io.Writer) error {
 // is written to a temp name in the target directory, fsynced, then
 // renamed into place (and the directory fsynced), so a crash at any
 // point leaves either the old snapshot or the new one — never a torn
-// file. Sharded services (and partially-recovered ones) save the
-// composite manifest-plus-segments format, with segments written in
-// parallel; single-shard services keep the legacy single-file format.
+// file.
 func (s *Service) SaveFile(path string) error {
 	return s.pin().SaveFile(path)
 }
 
 // pin pins the current epoch for a snapshot. Every commit publishes
-// under s.mu, so holding it here pins a whole epoch: the saved
-// per-shard counters match the saved state exactly.
+// under s.mu, so holding it here pins a whole epoch.
 func (s *Service) pin() *core.BasePin {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -747,20 +696,11 @@ func (s *Service) Compaction() *CompactionStatus {
 // record was truncated, and the recovery wall time.
 func (s *Service) JournalRecovery() *ReplayReport { return s.jrec }
 
-// Shards returns the point-in-time per-shard summaries (last-touch
-// epoch, publish count, owned authors and slots), ascending by shard
-// index. Lock-free.
-func (s *Service) Shards() []core.ShardInfo { return s.pub.ShardInfos() }
-
 // Contention returns the cumulative write-path contention and copy
 // accounting (write-lock wait, delta entries copied, flattens) — what
 // /metrics serves as "contention" and the benchmark reports as
 // core.view.ingest_wait_ms, delta_entries_per_publish and flattens.
 func (s *Service) Contention() core.ContentionStats { return s.pub.Contention() }
-
-// Recovery reports what a partial snapshot load lost, or nil when the
-// service loaded completely (the common case).
-func (s *Service) Recovery() *core.RecoveryReport { return s.recovery }
 
 // Pipeline exposes the underlying fitted pipeline for offline analysis
 // (threshold sweeps, evaluation). It must not be mutated — and not

@@ -65,135 +65,69 @@ func dirBytes(t *testing.T, dir string) map[string][]byte {
 }
 
 // assertPinnedMatchesReference saves svc through the pinned-view
-// encoder and through the map-walking reference writers at the same
-// epoch and requires identical bytes, file by file.
+// encoder and through the map-walking reference writer at the same
+// epoch and requires identical bytes, streamed and on disk.
 func assertPinnedMatchesReference(t *testing.T, svc *iuad.Service, when string) {
 	t.Helper()
 	pl, epoch := svc.Pipeline(), svc.Epoch()
-	infos := svc.Shards()
-	composite := len(infos) > 1 || svc.Recovery() != nil
-	if svc.Recovery() == nil { // Save streams the single-file format for any shard count
-		var got, want bytes.Buffer
-		if err := svc.Save(&got); err != nil {
-			t.Fatalf("%s: Save: %v", when, err)
-		}
-		if err := core.SaveService(&want, pl, epoch); err != nil {
-			t.Fatalf("%s: reference SaveService: %v", when, err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("%s: pinned v1001 stream (%d bytes) differs from the reference (%d bytes)", when, got.Len(), want.Len())
-		}
+	var got, want bytes.Buffer
+	if err := svc.Save(&got); err != nil {
+		t.Fatalf("%s: Save: %v", when, err)
+	}
+	if err := core.SaveService(&want, pl, epoch); err != nil {
+		t.Fatalf("%s: reference SaveService: %v", when, err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("%s: pinned v1001 stream (%d bytes) differs from the reference (%d bytes)", when, got.Len(), want.Len())
 	}
 	gotDir, wantDir := t.TempDir(), t.TempDir()
 	if err := svc.SaveFile(filepath.Join(gotDir, "s.snap")); err != nil {
 		t.Fatalf("%s: SaveFile: %v", when, err)
 	}
-	var err error
-	if composite {
-		seeds := make([]core.ShardSeed, len(infos))
-		for i, info := range infos {
-			seeds[i] = core.ShardSeed{Epoch: info.Epoch, Publishes: info.Publishes}
-		}
-		err = core.SaveShardedService(filepath.Join(wantDir, "s.snap"), pl, epoch, seeds)
-	} else {
-		err = core.WriteFileAtomic(filepath.Join(wantDir, "s.snap"), func(w io.Writer) error {
-			return core.SaveService(w, pl, epoch)
-		})
-	}
+	err := core.WriteFileAtomic(filepath.Join(wantDir, "s.snap"), func(w io.Writer) error {
+		return core.SaveService(w, pl, epoch)
+	})
 	if err != nil {
 		t.Fatalf("%s: reference save: %v", when, err)
 	}
-	got, want := dirBytes(t, gotDir), dirBytes(t, wantDir)
-	if len(got) != len(want) {
-		t.Fatalf("%s: pinned save wrote %d files, reference %d", when, len(got), len(want))
+	gotFiles, wantFiles := dirBytes(t, gotDir), dirBytes(t, wantDir)
+	if len(gotFiles) != len(wantFiles) {
+		t.Fatalf("%s: pinned save wrote %d files, reference %d", when, len(gotFiles), len(wantFiles))
 	}
-	for name, b := range want {
-		if !bytes.Equal(got[name], b) {
-			t.Fatalf("%s: file %s differs from the reference (%d vs %d bytes)", when, name, len(got[name]), len(b))
+	for name, b := range wantFiles {
+		if !bytes.Equal(gotFiles[name], b) {
+			t.Fatalf("%s: file %s differs from the reference (%d vs %d bytes)", when, name, len(gotFiles[name]), len(b))
 		}
 	}
 }
 
 // TestPinnedSnapshotMatchesReference is the differential pin of the
 // off-lock encoder: on every golden corpus, right after the fit and
-// after streamed batches, for 1 and 4 shards, and for a partially
-// recovered service carrying dead vertices, a snapshot encoded from the
-// pinned view is byte-identical to the reference writers' output.
+// after streamed batches, a snapshot encoded from the pinned view is
+// byte-identical to the reference writer's output. (The subtest names
+// keep their "shards=1" suffix from when a sharded layout existed.)
 func TestPinnedSnapshotMatchesReference(t *testing.T) {
 	for ci, scfg := range equivSynthConfigs() {
-		for _, shards := range []int{1, 4} {
-			scfg, shards := scfg, shards
-			t.Run(fmt.Sprintf("corpus%d_seed%d_shards=%d", ci, scfg.Seed, shards), func(t *testing.T) {
-				t.Parallel()
-				d := iuad.GenerateSynthetic(scfg)
-				svc, err := iuad.Open(d.Corpus, iuad.WithConfig(equivCoreConfig(1)), iuad.WithShards(shards))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer svc.Close()
-				assertPinnedMatchesReference(t, svc, "after fit")
-				for b, batch := range [][]iuad.Paper{
-					streamProbes(d, "pin", 9), collabProbes(d, "pin", 12), collabProbes(d, "again", 5),
-				} {
-					if _, err := svc.AddPapers(context.Background(), batch); err != nil {
-						t.Fatal(err)
-					}
-					assertPinnedMatchesReference(t, svc, fmt.Sprintf("after batch %d", b))
-				}
-			})
-		}
-	}
-
-	t.Run("partial-recovery", func(t *testing.T) {
-		d := serviceDataset(61)
-		path := filepath.Join(t.TempDir(), "svc.snap")
-		live, err := iuad.Open(d.Corpus, iuad.WithConfig(equivCoreConfig(1)), iuad.WithShards(4), iuad.WithSnapshot(path))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := live.AddPapers(context.Background(), collabProbes(d, "pre", 8)); err != nil {
-			t.Fatal(err)
-		}
-		lost := -1
-		for _, info := range live.Shards() {
-			if info.Authors > 0 {
-				lost = info.Shard
-				break
-			}
-		}
-		if err := live.Close(); err != nil {
-			t.Fatal(err)
-		}
-		segs, err := filepath.Glob(fmt.Sprintf("%s.e*.s%03d", path, lost))
-		if err != nil || len(segs) != 1 {
-			t.Fatalf("segment of shard %d: %v (err %v)", lost, segs, err)
-		}
-		if err := os.Remove(segs[0]); err != nil {
-			t.Fatal(err)
-		}
-		for _, shards := range []int{4, 1} {
-			// Each round opens its own copy: Close re-saves a complete
-			// composite over the one it loaded.
-			snap := filepath.Join(overlayDir(t, filepath.Dir(path)), filepath.Base(path))
-			svc, err := iuad.Open(nil, iuad.WithSnapshot(snap), iuad.WithShards(shards), iuad.WithPartialRecovery())
+		scfg := scfg
+		t.Run(fmt.Sprintf("corpus%d_seed%d_shards=1", ci, scfg.Seed), func(t *testing.T) {
+			t.Parallel()
+			d := iuad.GenerateSynthetic(scfg)
+			svc, err := iuad.Open(d.Corpus, iuad.WithConfig(equivCoreConfig(1)))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer svc.Close()
-			if rep := svc.Recovery(); rep == nil || rep.LostAuthors == 0 {
-				t.Fatalf("shards=%d: partial recovery lost nothing: %+v", shards, rep)
+			assertPinnedMatchesReference(t, svc, "after fit")
+			for b, batch := range [][]iuad.Paper{
+				streamProbes(d, "pin", 9), collabProbes(d, "pin", 12), collabProbes(d, "again", 5),
+			} {
+				if _, err := svc.AddPapers(context.Background(), batch); err != nil {
+					t.Fatal(err)
+				}
+				assertPinnedMatchesReference(t, svc, fmt.Sprintf("after batch %d", b))
 			}
-			assertPinnedMatchesReference(t, svc, fmt.Sprintf("shards=%d, dead vertices, before ingest", shards))
-			if _, err := svc.AddPapers(context.Background(), collabProbes(d, "post", 6)); err != nil {
-				t.Fatal(err)
-			}
-			assertPinnedMatchesReference(t, svc, fmt.Sprintf("shards=%d, dead vertices, after ingest", shards))
-			// The single-file format has no way to carry the holes.
-			if err := svc.Save(io.Discard); err == nil {
-				t.Fatalf("shards=%d: Save of a partially recovered service succeeded", shards)
-			}
-		}
-	})
+		})
+	}
 }
 
 // overlayDir copies the regular files of every src into a fresh
@@ -219,104 +153,102 @@ func overlayDir(t *testing.T, srcs ...string) string {
 // batches its base does not hold and dropping exactly the segments it
 // covers.
 func TestJournalCompactionCrashWindows(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			d := serviceDataset(109)
-			open := func(corpus *iuad.Corpus, jdir string) *iuad.Service {
-				t.Helper()
-				opts := []iuad.Option{iuad.WithConfig(equivCoreConfig(1)), iuad.WithShards(shards)}
-				if jdir != "" {
-					opts = append(opts, iuad.WithJournalConfig(jdir, noCompact))
-				}
-				svc, err := iuad.Open(corpus, opts...)
-				if err != nil {
+	// The subtest name is kept from when a sharded layout existed.
+	t.Run("shards=1", func(t *testing.T) {
+		d := serviceDataset(109)
+		open := func(corpus *iuad.Corpus, jdir string) *iuad.Service {
+			t.Helper()
+			opts := []iuad.Option{iuad.WithConfig(equivCoreConfig(1))}
+			if jdir != "" {
+				opts = append(opts, iuad.WithJournalConfig(jdir, noCompact))
+			}
+			svc, err := iuad.Open(corpus, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return svc
+		}
+		jdir := t.TempDir()
+		live, ref := open(d.Corpus, jdir), open(d.Corpus, "")
+		defer live.Close()
+		defer ref.Close()
+		stream := collabProbes(d, "win", 18)
+		next := 0
+		add := func() {
+			t.Helper()
+			for _, svc := range []*iuad.Service{live, ref} {
+				if _, err := svc.AddPapers(context.Background(), stream[next:next+3]); err != nil {
 					t.Fatal(err)
 				}
-				return svc
 			}
-			jdir := t.TempDir()
-			live, ref := open(d.Corpus, jdir), open(d.Corpus, "")
-			defer live.Close()
-			defer ref.Close()
-			stream := collabProbes(d, "win", 18)
-			next := 0
-			add := func() {
-				t.Helper()
-				for _, svc := range []*iuad.Service{live, ref} {
-					if _, err := svc.AddPapers(context.Background(), stream[next:next+3]); err != nil {
-						t.Fatal(err)
-					}
-				}
-				next += 3
+			next += 3
+		}
+		// recoverAndCheck restarts over a copy and compares it with
+		// the never-crashed, never-journaled reference.
+		recoverAndCheck := func(window, crashed string, wantBatches, wantStale int) {
+			t.Helper()
+			rec := open(nil, crashed)
+			defer rec.Close()
+			rep := rec.JournalRecovery()
+			if rep.Batches != wantBatches || rep.StaleRemoved != wantStale || rep.TruncatedTail {
+				t.Fatalf("%s: replay report %+v, want %d batches replayed, %d stale segments removed", window, rep, wantBatches, wantStale)
 			}
-			// recoverAndCheck restarts over a copy and compares it with
-			// the never-crashed, never-journaled reference.
-			recoverAndCheck := func(window, crashed string, wantBatches, wantStale int) {
-				t.Helper()
-				rec := open(nil, crashed)
-				defer rec.Close()
-				rep := rec.JournalRecovery()
-				if rep.Batches != wantBatches || rep.StaleRemoved != wantStale || rep.TruncatedTail {
-					t.Fatalf("%s: replay report %+v, want %d batches replayed, %d stale segments removed", window, rep, wantBatches, wantStale)
-				}
-				if rec.Epoch() != ref.Epoch() {
-					t.Fatalf("%s: recovered epoch %d, want %d", window, rec.Epoch(), ref.Epoch())
-				}
-				if surfaceFingerprint(t, rec) != surfaceFingerprint(t, ref) {
-					t.Fatalf("%s: recovered query surface differs from the never-crashed reference", window)
-				}
+			if rec.Epoch() != ref.Epoch() {
+				t.Fatalf("%s: recovered epoch %d, want %d", window, rec.Epoch(), ref.Epoch())
 			}
+			if surfaceFingerprint(t, rec) != surfaceFingerprint(t, ref) {
+				t.Fatalf("%s: recovered query surface differs from the never-crashed reference", window)
+			}
+		}
 
-			add()
-			add()
-			if err := live.Compact(); err != nil { // base@2
-				t.Fatal(err)
-			}
-			add()
-			add() // epoch 4: two batches in one segment keyed 2
+		add()
+		add()
+		if err := live.Compact(); err != nil { // base@2
+			t.Fatal(err)
+		}
+		add()
+		add() // epoch 4: two batches in one segment keyed 2
 
-			// Window 1: the cut lands, the base write fails.
-			boom := errors.New("injected disk failure")
-			disarm := faultinject.Arm(faultinject.SnapshotWrite, func() error { return boom })
-			err := live.Compact()
-			disarm()
-			if !errors.Is(err, boom) {
-				t.Fatalf("Compact under a snapshot-write fault = %v, want the injected error", err)
-			}
-			if c := live.Compaction(); c.Failures != 1 || c.LastError == "" || c.Last == nil || c.Last.Epoch != 2 {
-				t.Fatalf("failed compaction not surfaced: %+v", c)
-			}
-			add() // epoch 5 lands in the generation keyed 4
-			if segs := journalSegments(t, jdir); len(segs) != 2 {
-				t.Fatalf("after the failed compaction: segments %v, want one keyed 2 and one keyed 4", segs)
-			}
-			recoverAndCheck("after cut, base write failed", copyJournalDir(t, jdir), 3, 0)
+		// Window 1: the cut lands, the base write fails.
+		boom := errors.New("injected disk failure")
+		disarm := faultinject.Arm(faultinject.SnapshotWrite, func() error { return boom })
+		err := live.Compact()
+		disarm()
+		if !errors.Is(err, boom) {
+			t.Fatalf("Compact under a snapshot-write fault = %v, want the injected error", err)
+		}
+		if c := live.Compaction(); c.Failures != 1 || c.LastError == "" || c.Last == nil || c.Last.Epoch != 2 {
+			t.Fatalf("failed compaction not surfaced: %+v", c)
+		}
+		add() // epoch 5 lands in the generation keyed 4
+		if segs := journalSegments(t, jdir); len(segs) != 2 {
+			t.Fatalf("after the failed compaction: segments %v, want one keyed 2 and one keyed 4", segs)
+		}
+		recoverAndCheck("after cut, base write failed", copyJournalDir(t, jdir), 3, 0)
 
-			// The next attempt succeeds from the longer chain.
-			beforeRetire := copyJournalDir(t, jdir)
-			if err := live.Compact(); err != nil { // base@5, segments keyed 2 and 4 retired
-				t.Fatal(err)
-			}
-			if c := live.Compaction(); c.Failures != 1 || c.Last.Epoch != 5 || c.BytesSinceBase != 0 {
-				t.Fatalf("compaction after the failure: %+v", c)
-			}
-			if segs := journalSegments(t, jdir); len(segs) != 0 {
-				t.Fatalf("retire left %v", segs)
-			}
-			// Window 3 first (it is the live directory): after the retire.
-			recoverAndCheck("after retire", copyJournalDir(t, jdir), 0, 0)
-			// Window 2: the new base is renamed in, nothing retired yet —
-			// the pre-compaction segments under the post-compaction base.
-			recoverAndCheck("after base rename, before retire", overlayDir(t, beforeRetire, jdir), 0, 2)
+		// The next attempt succeeds from the longer chain.
+		beforeRetire := copyJournalDir(t, jdir)
+		if err := live.Compact(); err != nil { // base@5, segments keyed 2 and 4 retired
+			t.Fatal(err)
+		}
+		if c := live.Compaction(); c.Failures != 1 || c.Last.Epoch != 5 || c.BytesSinceBase != 0 {
+			t.Fatalf("compaction after the failure: %+v", c)
+		}
+		if segs := journalSegments(t, jdir); len(segs) != 0 {
+			t.Fatalf("retire left %v", segs)
+		}
+		// Window 3 first (it is the live directory): after the retire.
+		recoverAndCheck("after retire", copyJournalDir(t, jdir), 0, 0)
+		// Window 2: the new base is renamed in, nothing retired yet —
+		// the pre-compaction segments under the post-compaction base.
+		recoverAndCheck("after base rename, before retire", overlayDir(t, beforeRetire, jdir), 0, 2)
 
-			// The same two windows with a commit landed beside the
-			// compaction (a record in the generation keyed 5).
-			add() // epoch 6
-			recoverAndCheck("after retire, one commit later", copyJournalDir(t, jdir), 1, 0)
-			recoverAndCheck("before retire, one commit later", overlayDir(t, beforeRetire, jdir), 1, 2)
-		})
-	}
+		// The same two windows with a commit landed beside the
+		// compaction (a record in the generation keyed 5).
+		add() // epoch 6
+		recoverAndCheck("after retire, one commit later", copyJournalDir(t, jdir), 1, 0)
+		recoverAndCheck("before retire, one commit later", overlayDir(t, beforeRetire, jdir), 1, 2)
+	})
 }
 
 // TestJournalCompactionBesideWriters runs compactions while writers

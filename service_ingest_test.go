@@ -138,85 +138,78 @@ func TestServiceConcurrentBatchesBitIdentical(t *testing.T) {
 	}
 }
 
-// TestServiceOverloadSheds pins the backpressure contract end to end,
-// unsharded and sharded: with a slow publish holding the queue at its
-// bound, further AddPapers reject with *OverloadedError (nothing
-// ingested), while readers — per-shard introspection included — keep
-// answering from the last published epoch.
+// TestServiceOverloadSheds pins the backpressure contract end to end:
+// with a slow publish holding the queue at its bound, further
+// AddPapers reject with *OverloadedError (nothing ingested), while
+// readers — contention accounting included — keep answering from the
+// last published epoch. (The subtest name is kept from when a sharded
+// layout existed.)
 func TestServiceOverloadSheds(t *testing.T) {
 	d := serviceDataset(67)
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			svc, err := iuad.Open(d.Corpus, iuad.WithConfig(equivCoreConfig(2)), iuad.WithShards(shards),
-				iuad.WithIngestConfig(iuad.IngestConfig{MaxQueued: 4, RetryAfter: 250 * time.Millisecond}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer svc.Close()
-			probes := streamProbes(d, "shed", 5)
+	t.Run("shards=1", func(t *testing.T) {
+		svc, err := iuad.Open(d.Corpus, iuad.WithConfig(equivCoreConfig(2)),
+			iuad.WithIngestConfig(iuad.IngestConfig{MaxQueued: 4, RetryAfter: 250 * time.Millisecond}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		probes := streamProbes(d, "shed", 5)
 
-			entered, release, disarm := blockPublish()
-			defer disarm()
-			defer release()
+		entered, release, disarm := blockPublish()
+		defer disarm()
+		defer release()
 
-			var wg sync.WaitGroup
-			submit := func(ps []iuad.Paper) {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					if _, err := svc.AddPapers(context.Background(), ps); err != nil {
-						t.Errorf("admitted batch failed: %v", err)
-					}
-				}()
-			}
-			submit(probes[0:2]) // leader: commits, stalls in publish (depth 2)
-			<-entered
-			submit(probes[2:4]) // parks (depth 4 == bound)
-			waitUntil(t, "follower parked", func() bool { return svc.Ingest().Depth == 4 })
-
-			_, err = svc.AddPapers(context.Background(), probes[4:5])
-			var ov *iuad.OverloadedError
-			if !errors.As(err, &ov) {
-				t.Fatalf("overflow AddPapers = %v, want *OverloadedError", err)
-			}
-			if ov.Depth != 4 || ov.Limit != 4 || ov.RetryAfter != 250*time.Millisecond {
-				t.Fatalf("overload detail %+v", ov)
-			}
-
-			// Readers never block on the stalled publish: the epoch
-			// published before the stall answers everything.
-			st := svc.Stats()
-			if st.Epoch != 0 || st.StreamedPapers != 0 {
-				t.Fatalf("stalled publish leaked state to readers: %+v", st)
-			}
-			if _, err := svc.Author(0); err != nil {
-				t.Fatalf("reader blocked or failed during stalled publish: %v", err)
-			}
-			if got := svc.AuthorsByName(d.Corpus.Paper(0).Authors[0]); len(got) == 0 {
-				t.Fatal("name query empty during stalled publish")
-			}
-			infos := svc.Shards()
-			if len(infos) != shards {
-				t.Fatalf("%d shard infos during stalled publish, want %d", len(infos), shards)
-			}
-			for _, info := range infos {
-				if info.Publishes != 0 {
-					t.Fatalf("stalled publish leaked into shard %d: %+v", info.Shard, info)
+		var wg sync.WaitGroup
+		submit := func(ps []iuad.Paper) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := svc.AddPapers(context.Background(), ps); err != nil {
+					t.Errorf("admitted batch failed: %v", err)
 				}
-			}
+			}()
+		}
+		submit(probes[0:2]) // leader: commits, stalls in publish (depth 2)
+		<-entered
+		submit(probes[2:4]) // parks (depth 4 == bound)
+		waitUntil(t, "follower parked", func() bool { return svc.Ingest().Depth == 4 })
 
-			disarm()
-			release()
-			wg.Wait()
-			ist := svc.Ingest()
-			if ist.Depth != 0 || ist.RejectedBatches != 1 || ist.AdmittedPapers != 4 {
-				t.Fatalf("post-drain ingest stats %+v", ist)
-			}
-			if st := svc.Stats(); st.StreamedPapers != 4 {
-				t.Fatalf("drained %d streamed papers, want 4 (shed batch must not land)", st.StreamedPapers)
-			}
-		})
-	}
+		_, err = svc.AddPapers(context.Background(), probes[4:5])
+		var ov *iuad.OverloadedError
+		if !errors.As(err, &ov) {
+			t.Fatalf("overflow AddPapers = %v, want *OverloadedError", err)
+		}
+		if ov.Depth != 4 || ov.Limit != 4 || ov.RetryAfter != 250*time.Millisecond {
+			t.Fatalf("overload detail %+v", ov)
+		}
+
+		// Readers never block on the stalled publish: the epoch
+		// published before the stall answers everything.
+		st := svc.Stats()
+		if st.Epoch != 0 || st.StreamedPapers != 0 {
+			t.Fatalf("stalled publish leaked state to readers: %+v", st)
+		}
+		if _, err := svc.Author(0); err != nil {
+			t.Fatalf("reader blocked or failed during stalled publish: %v", err)
+		}
+		if got := svc.AuthorsByName(d.Corpus.Paper(0).Authors[0]); len(got) == 0 {
+			t.Fatal("name query empty during stalled publish")
+		}
+		if cs := svc.Contention(); cs.Publishes != 0 {
+			t.Fatalf("stalled publish leaked into the contention accounting: %+v", cs)
+		}
+
+		disarm()
+		release()
+		wg.Wait()
+		ist := svc.Ingest()
+		if ist.Depth != 0 || ist.RejectedBatches != 1 || ist.AdmittedPapers != 4 {
+			t.Fatalf("post-drain ingest stats %+v", ist)
+		}
+		if st := svc.Stats(); st.StreamedPapers != 4 {
+			t.Fatalf("drained %d streamed papers, want 4 (shed batch must not land)", st.StreamedPapers)
+		}
+	})
 }
 
 // TestServiceAddPapersCancel pins the cancellation contract: a context

@@ -61,19 +61,16 @@ var noCompact = iuad.JournalConfig{Fsync: iuad.FsyncOff, CompactEvery: -1}
 // service killed after N acked batches and reopened over the same
 // directory answers every query — and scores every future slot, to the
 // bit (math.Float64bits) — exactly like a process that never crashed.
-// Runs unsharded and sharded, without and with a mid-stream compaction
-// (so recovery exercises both "refit + full replay" and "base snapshot
-// + suffix replay").
+// Runs without and with a mid-stream compaction (so recovery exercises
+// both "refit + full replay" and "base snapshot + suffix replay"). The
+// subtest names are kept from when a sharded layout existed.
 func TestJournalCrashRecoveryEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		shards  int
 		compact bool
 	}{
-		{"unsharded", 1, false},
-		{"unsharded-compacted", 1, true},
-		{"sharded", 2, false},
-		{"sharded-compacted", 2, true},
+		{"unsharded", false},
+		{"unsharded-compacted", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := serviceDataset(71)
@@ -84,9 +81,6 @@ func TestJournalCrashRecoveryEquivalence(t *testing.T) {
 				opts := []iuad.Option{
 					iuad.WithConfig(equivCoreConfig(1)),
 					iuad.WithJournalConfig(jdir, noCompact),
-				}
-				if tc.shards > 1 {
-					opts = append(opts, iuad.WithShards(tc.shards))
 				}
 				svc, err := iuad.Open(d.Corpus, opts...)
 				if err != nil {
@@ -487,8 +481,12 @@ func TestJournalCloseCompactsCleanReopen(t *testing.T) {
 	if segs := journalSegments(t, jdir); len(segs) != 0 {
 		t.Fatalf("clean shutdown left journal segments %v", segs)
 	}
-	if _, err := os.Stat(filepath.Join(jdir, "base.snap")); err != nil {
+	fi, err := os.Stat(filepath.Join(jdir, "base.snap"))
+	if err != nil {
 		t.Fatalf("clean shutdown left no base snapshot: %v", err)
+	}
+	if last := svc.Compaction().Last; last == nil || last.BaseBytes != fi.Size() {
+		t.Fatalf("last compaction %+v, want base_bytes %d (the size of base.snap)", last, fi.Size())
 	}
 	stray, unrelated := filepath.Join(jdir, ".iuad-snap-x"), filepath.Join(jdir, "notes.txt")
 	for _, p := range []string{stray, unrelated} {
@@ -517,53 +515,6 @@ func TestJournalCloseCompactsCleanReopen(t *testing.T) {
 	}
 	if got := surfaceFingerprint(t, rec); got != fp {
 		t.Fatal("clean reopen diverged")
-	}
-}
-
-// TestJournalReshardRemovesStaleSegments: a journal saved as a sharded
-// composite and reopened unsharded compacts to a single-file base on
-// Close. That save must delete the composite's segment files, or they
-// stay on disk forever and inflate the base size the compaction
-// trigger divides by.
-func TestJournalReshardRemovesStaleSegments(t *testing.T) {
-	d := serviceDataset(109)
-	jdir := t.TempDir()
-	svc, err := iuad.Open(d.Corpus, iuad.WithConfig(equivCoreConfig(1)),
-		iuad.WithJournalConfig(jdir, noCompact), iuad.WithShards(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.AddPapers(context.Background(), streamProbes(d, "reshard", 4)); err != nil {
-		t.Fatal(err)
-	}
-	fp := surfaceFingerprint(t, svc)
-	if err := svc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := filepath.Glob(filepath.Join(jdir, "base.snap.e*"))
-	if err != nil || len(segs) != 4 {
-		t.Fatalf("sharded Close left segments %v (%v), want 4", segs, err)
-	}
-
-	rec, err := iuad.Open(nil, iuad.WithJournalConfig(jdir, noCompact))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := surfaceFingerprint(t, rec); got != fp {
-		t.Fatal("unsharded reopen diverged")
-	}
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if segs, _ := filepath.Glob(filepath.Join(jdir, "base.snap.e*")); len(segs) != 0 {
-		t.Fatalf("single-file base left stale segments %v", segs)
-	}
-	fi, err := os.Stat(filepath.Join(jdir, "base.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last := rec.Compaction().Last; last == nil || last.BaseBytes != fi.Size() {
-		t.Fatalf("last compaction %+v, want base_bytes %d (the size of base.snap)", last, fi.Size())
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 // analytics cache for exactly that view, so an answer is always
 // internally consistent with one epoch even while ingest publishes
 // later ones. Repeat queries on one epoch are a single atomic load
-// (no lock), and all results are byte-identical across runs, worker
-// counts, and shard counts.
+// (no lock), and all results are byte-identical across runs and worker
+// counts.
 
 // NetworkStats is the whole-graph topology summary served by
 // Service.Network: density, component structure, degree distribution
@@ -77,8 +77,7 @@ func (s *Service) Network() NetworkStats {
 // hop radius (0 = just the author), with edge weights and the vertex
 // names of the same epoch. Hops above netstats.MaxEgoHops are clamped,
 // and the subgraph is truncated past netstats.MaxEgoVertices (the
-// Truncated flag reports it). Unknown authors — including vertices
-// lost to a partial snapshot recovery — return ErrUnknownAuthor.
+// Truncated flag reports it). Unknown authors return ErrUnknownAuthor.
 func (s *Service) Ego(author, hops int) (*EgoResult, error) {
 	v, g := s.analytics()
 	eg, ok := g.Ego(author, hops)

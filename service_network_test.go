@@ -7,8 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -19,8 +17,7 @@ import (
 // answer — network stats, the full community partition, and sampled
 // ego/collaborator/clustering queries — with float64 fields folded in
 // as raw bits, so equality means byte-identity, not approximation.
-// Safe to call from any goroutine (dead vertices are skipped, which is
-// itself deterministic per epoch).
+// Safe to call from any goroutine.
 func analyticsFingerprint(svc *iuad.Service) string {
 	h := sha256.New()
 	n := svc.Network()
@@ -33,7 +30,8 @@ func analyticsFingerprint(svc *iuad.Service) string {
 	for id := 0; id < len(c.Labels); id += 7 {
 		eg, err := svc.Ego(id, 2)
 		if err != nil {
-			continue // dead vertex
+			fmt.Fprintf(h, "ego %d: %v\n", id, err)
+			continue
 		}
 		fmt.Fprintf(h, "ego %d %+v\n", id, *eg)
 		cols, _ := svc.TopCollaborators(id, 5)
@@ -51,14 +49,14 @@ func analyticsFingerprint(svc *iuad.Service) string {
 // analytics answered mid-ingest — while writers race the readers — are
 // bit-identical to re-running the same queries on that epoch's
 // published snapshot, and the whole surface (Communities included) is
-// byte-identical across worker counts and shard counts. Readers must
+// byte-identical across worker counts. Readers must
 // never observe a half-built cache: any fingerprint captured within
 // one epoch must equal the reference fingerprint of that epoch.
 func TestNetstatsEpochConsistency(t *testing.T) {
 	d := serviceDataset(31)
 	probes := streamProbes(d, "net", 10)
 
-	// Reference: serial single-shard service, analytics re-run at every
+	// Reference: serial service, analytics re-run at every
 	// epoch boundary.
 	ref, err := iuad.Open(d.Corpus, iuad.WithConfig(equivCoreConfig(1)))
 	if err != nil {
@@ -73,9 +71,9 @@ func TestNetstatsEpochConsistency(t *testing.T) {
 		want[ref.Epoch()] = analyticsFingerprint(ref)
 	}
 
-	// Live: different worker count AND shard count, with reader
-	// goroutines querying analytics while the ingester publishes.
-	svc, err := iuad.Open(d.Corpus, iuad.WithConfig(equivCoreConfig(2)), iuad.WithShards(4))
+	// Live: different worker count, with reader goroutines querying
+	// analytics while the ingester publishes.
+	svc, err := iuad.Open(d.Corpus, iuad.WithConfig(equivCoreConfig(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,128 +214,13 @@ func TestEgoEdgeCases(t *testing.T) {
 	}
 }
 
-// TestEgoPartialRecoveryDeadVertex pins analytics over a partially
-// recovered service: vertices lost with a snapshot segment are
-// ErrUnknownAuthor to Ego, invisible to live egos and communities, and
-// counted as DeadVertices in Network().
-func TestEgoPartialRecoveryDeadVertex(t *testing.T) {
-	d := serviceDataset(61)
-	path := filepath.Join(t.TempDir(), "svc.snap")
-	const shards = 4
-
-	live, err := iuad.Open(d.Corpus,
-		iuad.WithConfig(equivCoreConfig(1)), iuad.WithShards(shards), iuad.WithSnapshot(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	liveNet := live.Network()
-	liveInfos := live.Shards()
-	liveEpoch := live.Stats().Epoch
-	if err := live.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if liveNet.DeadVertices != 0 {
-		t.Fatalf("full service reports %d dead vertices", liveNet.DeadVertices)
-	}
-
-	lostShard := -1
-	for _, info := range liveInfos {
-		if info.Authors > 0 {
-			lostShard = info.Shard
-			break
-		}
-	}
-	if lostShard < 0 {
-		t.Fatal("no shard owns authors")
-	}
-	if err := os.Remove(fmt.Sprintf("%s.e%d.s%03d", path, liveEpoch, lostShard)); err != nil {
-		t.Fatal(err)
-	}
-
-	partial, err := iuad.Open(nil,
-		iuad.WithSnapshot(path), iuad.WithShards(shards), iuad.WithPartialRecovery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer partial.Close()
-	rep := partial.Recovery()
-	if rep == nil || rep.LostAuthors == 0 {
-		t.Fatalf("recovery report %+v, want lost authors", rep)
-	}
-
-	// Find one dead vertex: any ID the serving surface no longer knows.
-	st := partial.Stats()
-	deadID := -1
-	for id := 0; id < st.Authors; id++ {
-		if _, err := partial.Author(id); errors.Is(err, iuad.ErrUnknownAuthor) {
-			deadID = id
-			break
-		}
-	}
-	if deadID < 0 {
-		t.Fatal("no dead vertex found after losing a segment")
-	}
-
-	if _, err := partial.Ego(deadID, 2); !errors.Is(err, iuad.ErrUnknownAuthor) {
-		t.Fatalf("Ego(dead %d) = %v, want ErrUnknownAuthor", deadID, err)
-	}
-	if _, err := partial.TopCollaborators(deadID, 3); !errors.Is(err, iuad.ErrUnknownAuthor) {
-		t.Fatalf("TopCollaborators(dead %d) = %v, want ErrUnknownAuthor", deadID, err)
-	}
-
-	net := partial.Network()
-	if net.DeadVertices != rep.LostAuthors {
-		t.Fatalf("Network reports %d dead vertices, recovery lost %d", net.DeadVertices, rep.LostAuthors)
-	}
-	if net.Authors != liveNet.Authors-rep.LostAuthors {
-		t.Fatalf("live authors %d, want %d − %d", net.Authors, liveNet.Authors, rep.LostAuthors)
-	}
-
-	// Live egos never surface dead vertices.
-	checked := 0
-	for id := 0; id < st.Authors && checked < 20; id++ {
-		eg, err := partial.Ego(id, 2)
-		if err != nil {
-			continue
-		}
-		checked++
-		for i, ev := range eg.Vertices {
-			if _, err := partial.Author(int(ev.ID)); err != nil {
-				t.Fatalf("ego of %d contains dead vertex %d", id, ev.ID)
-			}
-			if eg.Names[i] == "" {
-				t.Fatalf("ego of %d has unnamed vertex %d", id, ev.ID)
-			}
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no live egos found")
-	}
-
-	// Communities label the dead with −1 and nothing else.
-	comm := partial.Communities()
-	deadLabels := 0
-	for id, l := range comm.Labels {
-		dead := errors.Is(func() error { _, err := partial.Author(id); return err }(), iuad.ErrUnknownAuthor)
-		if dead != (l < 0) {
-			t.Fatalf("vertex %d: dead=%v but label %d", id, dead, l)
-		}
-		if l < 0 {
-			deadLabels++
-		}
-	}
-	if deadLabels != rep.LostAuthors {
-		t.Fatalf("%d dead labels, want %d", deadLabels, rep.LostAuthors)
-	}
-}
-
 // TestEgoDuringConcurrentIngest races analytics readers against a
 // concurrent ingest (run under -race in CI): every answer must be
 // well-formed and attributable to a published epoch, and the only
 // acceptable error is ErrUnknownAuthor for not-yet-published vertices.
 func TestEgoDuringConcurrentIngest(t *testing.T) {
 	d := serviceDataset(47)
-	svc, err := iuad.Open(d.Corpus, iuad.WithConfig(equivCoreConfig(2)), iuad.WithShards(2))
+	svc, err := iuad.Open(d.Corpus, iuad.WithConfig(equivCoreConfig(2)))
 	if err != nil {
 		t.Fatal(err)
 	}

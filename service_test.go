@@ -1,13 +1,18 @@
 package iuad_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"iuad"
+	"iuad/internal/snapshot"
 )
 
 func serviceDataset(seed int64) *iuad.SyntheticDataset {
@@ -26,6 +31,57 @@ func TestOpenTypedErrors(t *testing.T) {
 	unfrozen.MustAdd(iuad.Paper{Title: "t", Authors: []string{"A B"}})
 	if _, err := iuad.Open(unfrozen); !errors.Is(err, iuad.ErrNotFrozen) {
 		t.Fatalf("Open(unfrozen) = %v, want ErrNotFrozen", err)
+	}
+
+	// A retired sharded composite base (format 1002) is refused by
+	// name — never mistaken for "no snapshot" and silently refit over,
+	// and never rewritten.
+	d := serviceDataset(5)
+	cfg := equivCoreConfig(1)
+	cfg.StageHook = func(stage string, _ time.Duration) {
+		t.Errorf("Open over a version-1002 base fitted the corpus (stage %s)", stage)
+	}
+	composite := func(path string) []byte {
+		t.Helper()
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := snapshot.NewWriter(f, 1002).Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	snap := filepath.Join(t.TempDir(), "svc.snap")
+	jdir := t.TempDir()
+	base := iuad.JournalBasePath(jdir)
+	for _, tc := range []struct {
+		name string
+		path string
+		opt  iuad.Option
+	}{
+		{"WithSnapshot", snap, iuad.WithSnapshot(snap)},
+		{"WithJournal", base, iuad.WithJournal(jdir)},
+	} {
+		want := composite(tc.path)
+		svc, err := iuad.Open(d.Corpus, iuad.WithConfig(cfg), tc.opt)
+		if err == nil {
+			svc.Close()
+			t.Fatalf("%s: Open over a version-1002 base succeeded", tc.name)
+		}
+		if !strings.Contains(err.Error(), "1002") {
+			t.Fatalf("%s: Open over a version-1002 base = %v, want an error naming version 1002", tc.name, err)
+		}
+		if got, err := os.ReadFile(tc.path); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: the refused base changed on disk (err %v)", tc.name, err)
+		}
 	}
 }
 
