@@ -10,9 +10,10 @@
 package iuad_test
 
 import (
-	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -229,7 +230,7 @@ func iuadBenchPaper(author string, i int) bib.Paper {
 // BenchmarkAddPapersBatch compares one-at-a-time AddPaper against
 // batched AddPapers at several batch sizes over the same 64-paper
 // stream (ambiguous test names, so candidate scoring dominates). Every
-// iteration restores a fresh pipeline from an in-memory snapshot, so
+// iteration restores a fresh pipeline from a base snapshot, so
 // each mode ingests into identical state; results are bit-identical
 // across modes by the batched-ingest contract, only the shared work
 // per paper changes.
@@ -241,8 +242,9 @@ func BenchmarkAddPapersBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var snap bytes.Buffer
-	if err := core.SavePipeline(&snap, base); err != nil {
+	snap := filepath.Join(b.TempDir(), "base.snap")
+	err = core.WriteFileAtomic(snap, func(w io.Writer) error { return core.SaveService(w, base, 0) })
+	if err != nil {
 		b.Fatal(err)
 	}
 	const streamLen = 64
@@ -264,7 +266,7 @@ func BenchmarkAddPapersBatch(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				pl, err := core.LoadPipeline(bytes.NewReader(snap.Bytes()))
+				pl, _, err := core.LoadServiceSnapshot(snap)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -8,10 +8,9 @@
 //	     [-save pipeline.snap]
 //	iuad -load pipeline.snap [-name "Wei Wang"] [-top 5]
 //
-// -save writes a binary snapshot of the fitted pipeline after
-// disambiguation; -load restores one instead of re-running EM over the
-// corpus, so a warm pipeline serves incremental queries immediately
-// after restart.
+// -save writes the fitted pipeline as a base snapshot (the file
+// iuadserver -snapshot reads); -load restores one instead of re-running
+// EM over the corpus, so a warm pipeline serves immediately.
 package main
 
 import (
@@ -34,8 +33,8 @@ func main() {
 		workers = flag.Int("workers", 0, "worker pool size (0 = one per logical CPU; output is identical for any value)")
 		name    = flag.String("name", "", "print clusters of this name only")
 		top     = flag.Int("top", 5, "without -name: print the top-N most fragmented names")
-		save    = flag.String("save", "", "write a binary pipeline snapshot here after disambiguation")
-		load    = flag.String("load", "", "restore a pipeline snapshot instead of fitting (-in is ignored)")
+		save    = flag.String("save", "", "write a base snapshot of the fitted pipeline here after disambiguation")
+		load    = flag.String("load", "", "restore a base snapshot instead of fitting (-in is ignored)")
 	)
 	flag.Parse()
 	if *in == "" && *load == "" {
@@ -50,14 +49,13 @@ func main() {
 			}
 		})
 		start := time.Now()
-		var err error
-		pl, err = iuad.LoadPipelineFile(*load)
+		// -workers applies after load (output is identical for any
+		// value). Never Close: it would write the file back.
+		svc, err := iuad.Open(nil, iuad.WithSnapshot(*load), iuad.WithWorkers(*workers))
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Workers is serving-host tuning, not fitted state: output is
-		// bit-identical for any value, so the flag applies after load.
-		pl.Cfg.Workers = *workers
+		pl = svc.Pipeline()
 		fmt.Printf("pipeline restored from %s in %v (no retraining)\n",
 			*load, time.Since(start).Round(time.Millisecond))
 	} else {
@@ -74,7 +72,11 @@ func main() {
 		}
 	}
 	if *save != "" {
-		if err := iuad.SavePipelineFile(*save, pl); err != nil {
+		svc, err := iuad.NewService(pl)
+		if err == nil {
+			err = svc.SaveFile(*save)
+		}
+		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("pipeline snapshot written to %s\n", *save)

@@ -3,6 +3,7 @@ package iuad
 import (
 	"errors"
 
+	"iuad/internal/core"
 	"iuad/internal/ingestq"
 	"iuad/internal/wal"
 )
@@ -104,6 +105,11 @@ type JournalLockError = wal.LockError
 // verification somewhere the torn-tail rule cannot excuse; Open
 // refuses to serve rather than silently dropping an acked batch.
 type JournalCorruptError = wal.CorruptError
+
+// SnapshotError reports a base snapshot that exists but cannot be
+// loaded (checksum, truncation, trailing bytes, unknown version). Open
+// leaves the file at Path untouched and never refits over it.
+type SnapshotError = core.SnapshotError
 
 // ErrJournalLocked reports that another process holds the journal
 // directory (see WithJournal).

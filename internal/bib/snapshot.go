@@ -68,13 +68,7 @@ func (c *Corpus) EncodeSnapshot(w *snapshot.Writer) {
 // DecodeCorpusSnapshot reads a corpus written by EncodeSnapshot and
 // freezes it, rebuilding every derived index.
 func DecodeCorpusSnapshot(r *snapshot.Reader) (*Corpus, error) {
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("bib: snapshot corpus has %d papers", n)
-	}
+	n := r.Count("corpus papers")
 	// Cap the capacity hint: n is untrusted until the papers actually
 	// arrive, and a truncated stream errors out within one iteration.
 	hint := n

@@ -59,7 +59,7 @@ type Pipeline struct {
 
 // modelScorer returns the compiled scorer of the current Model,
 // compiling on first use and again whenever Model has been replaced
-// (e.g. by LoadPipeline). Callers obtain it on the writer goroutine
+// (e.g. by LoadServiceSnapshot). Callers obtain it on the writer goroutine
 // before fanning scoring out; the Scorer itself is immutable and safe
 // to share across workers.
 func (pl *Pipeline) modelScorer() *emfit.Scorer {

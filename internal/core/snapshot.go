@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -17,57 +19,62 @@ import (
 	"iuad/internal/textvec"
 )
 
-// SnapshotVersion is the pipeline wire-format version. Bump on ANY
-// layout change in this file or the EncodeSnapshot methods it calls.
-const SnapshotVersion = 1
+// The base snapshot is the one persisted format: magic, BaseVersion,
+// the serving epoch, the pipeline body, then a CRC-32C of every byte
+// before it. Bump BaseVersion on ANY layout change in this file or the
+// EncodeSnapshot methods it calls; never reuse a retired version (1, the
+// pipeline snapshot; 1002/1003, the sharded composite). 1001 is the
+// base without the trailer: it is read so existing files open, and the
+// next Close or compaction rewrites it; nothing writes it.
+const (
+	BaseVersion     = 1004
+	baseVersion1001 = 1001
+	crcLen          = 4
+)
 
-// ServiceSnapshotVersion is the wire-format version of service-level
-// snapshots (SaveService/LoadServiceSnapshot): a small serving header
-// followed by the same pipeline body as SnapshotVersion streams. Service
-// versions live in their own 1000+ namespace so a pipeline snapshot
-// can never be mistaken for a service snapshot (or vice versa) as the
-// two formats evolve independently.
-const ServiceSnapshotVersion = 1001
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// SavePipeline serializes a fitted pipeline — corpus, interned-table
-// tails, embeddings, SCN, GCN, fitted model, calibration, retained pair
-// scores and the incremental stream — so a server can restart and answer
-// AddPaper immediately, with assignments bit-identical to the pipeline
-// that never stopped (§V-E serving without retraining).
-//
-// The similarity profile cache is deliberately not part of the state:
-// AddPaper invalidates every profile an update can affect, so cached
-// profiles always equal fresh rebuilds and a cold cache is equivalent.
-// (This held for the map-backed profiles and holds unchanged for the
-// flat slab-backed layout — profiles are derived state either way; the
-// wire format carries no profile bytes and needs no version bump.)
-func SavePipeline(w io.Writer, pl *Pipeline) error {
-	if pl == nil || pl.GCN == nil || pl.SCN == nil {
-		return fmt.Errorf("core: SavePipeline before BuildGCN")
-	}
-	sw := snapshot.NewWriter(w, SnapshotVersion)
-	if err := encodePipelineBody(sw, pl, liveBody(pl)); err != nil {
-		return err
-	}
-	return sw.Close()
+// SnapshotError reports a base snapshot that exists but cannot be
+// loaded — not a snapshot, a version this build does not read, a
+// short file, bytes after the body, a CRC mismatch or a body that does
+// not decode. It never means "no snapshot".
+type SnapshotError struct {
+	Path string
+	Err  error
 }
 
-// SaveService serializes a serving snapshot: the publish epoch of the
-// served view followed by the full pipeline state. The view itself is
-// derived state (it is rebuilt from the pipeline on load, at the saved
-// epoch), so the wire format carries no view bytes — exactly like the
-// profile cache, a rebuilt view is bit-equivalent to the one that was
-// being served.
+func (e *SnapshotError) Error() string {
+	return fmt.Sprintf("core: base snapshot %s refused: %v", e.Path, e.Err)
+}
+
+func (e *SnapshotError) Unwrap() error { return e.Err }
+
+// SaveService writes the base snapshot of a pipeline at an epoch by
+// walking its maps: the reference BasePin.Encode must match byte for
+// byte. The view and the profile cache are derived state and carry no
+// bytes (AddPaper invalidates every profile an update can affect, so a
+// cold cache is equivalent).
 func SaveService(w io.Writer, pl *Pipeline, epoch uint64) error {
 	if pl == nil || pl.GCN == nil || pl.SCN == nil {
 		return fmt.Errorf("core: SaveService before BuildGCN")
 	}
-	sw := snapshot.NewWriter(w, ServiceSnapshotVersion)
+	return writeBase(w, pl, epoch, liveBody(pl))
+}
+
+// writeBase is the one writer of the base framing; the CRC-32C trailer
+// is little-endian.
+func writeBase(w io.Writer, pl *Pipeline, epoch uint64, b bodyParts) error {
+	crc := crc32.New(castagnoli)
+	sw := snapshot.NewWriter(io.MultiWriter(w, crc), BaseVersion)
 	sw.Uvarint(epoch)
-	if err := encodePipelineBody(sw, pl, liveBody(pl)); err != nil {
+	if err := encodePipelineBody(sw, pl, b); err != nil {
 		return err
 	}
-	return sw.Close()
+	if err := sw.Close(); err != nil {
+		return err
+	}
+	_, err := w.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
+	return err
 }
 
 // bodyParts is the part of a pipeline body that ingest keeps growing:
@@ -91,8 +98,10 @@ func liveBody(pl *Pipeline) bodyParts {
 	}
 }
 
-// encodePipelineBody writes the pipeline payload shared by pipeline-
-// and service-level snapshots onto an already-opened writer.
+// encodePipelineBody writes the pipeline body — config, corpus,
+// intern-table tails, embeddings, SCN, GCN, model, δ, retained pair
+// scores, forced merges and the incremental stream — onto an
+// already-opened writer.
 func encodePipelineBody(sw *snapshot.Writer, pl *Pipeline, b bodyParts) error {
 	cfgJSON, err := json.Marshal(&pl.Cfg)
 	if err != nil {
@@ -139,46 +148,75 @@ func encodePipelineBody(sw *snapshot.Writer, pl *Pipeline, b bodyParts) error {
 	return sw.Err()
 }
 
-// LoadPipeline reconstructs a pipeline saved by SavePipeline. The
-// returned pipeline serves AddPaper exactly like the original: same
-// tables, same networks, same model parameters (bit patterns), same
-// decision threshold.
-func LoadPipeline(r io.Reader) (*Pipeline, error) {
-	sr, err := snapshot.NewReader(r, SnapshotVersion)
-	if err != nil {
-		return nil, err
-	}
-	return decodePipelineBody(sr)
-}
-
-// LoadServiceSnapshot reconstructs a service saved by SaveService (or
-// BasePin): the pipeline and the publish epoch it was serving. A file
-// of any other snapshot version — the retired sharded composite
-// manifest (1002) included — is refused with an error naming the
-// version it found.
+// LoadServiceSnapshot reads the base snapshot at path: the pipeline
+// and the epoch it was serving. A missing file is the open error
+// (fs.ErrNotExist); every other failure is a *SnapshotError naming path.
 func LoadServiceSnapshot(path string) (*Pipeline, uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer f.Close()
-	sr, err := snapshot.NewReader(f, ServiceSnapshotVersion)
+	pl, epoch, err := readBase(f)
+	if err != nil {
+		return nil, 0, &SnapshotError{Path: path, Err: err}
+	}
+	return pl, epoch, nil
+}
+
+// readBase is the one reader of the base framing. It checks the
+// version first, then decodes the body through the CRC-32C: one pass,
+// no second copy of the file. A body that fails to decode is hashed to
+// the end anyway, so damage is reported as the checksum mismatch it is.
+func readBase(f *os.File) (*Pipeline, uint64, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, err
+	}
+	version, err := snapshot.ReadHeader(f)
+	if err != nil {
+		return nil, 0, err
+	}
+	body := fi.Size()
+	switch version {
+	case BaseVersion:
+		body -= crcLen
+	case baseVersion1001:
+	default:
+		return nil, 0, fmt.Errorf("snapshot version %d, this build reads %d (and %d, to upgrade it)", version, BaseVersion, baseVersion1001)
+	}
+	crc := crc32.New(castagnoli)
+	in := io.TeeReader(io.NewSectionReader(f, 0, body), crc)
+	sr, err := snapshot.NewReader(in, version)
 	if err != nil {
 		return nil, 0, err
 	}
 	epoch := sr.Uvarint()
-	if err := sr.Err(); err != nil {
-		return nil, 0, err
-	}
 	pl, err := decodePipelineBody(sr)
+	if err == nil {
+		sr.ExpectEOF()
+		err = sr.Err()
+	}
+	if version == BaseVersion {
+		// Hash what a failed decode left unread. A read error here
+		// leaves the hash short, which can only mismatch.
+		_, _ = io.Copy(io.Discard, in)
+		var trailer [crcLen]byte
+		if _, rerr := f.ReadAt(trailer[:], body); rerr != nil {
+			return nil, 0, fmt.Errorf("CRC-32C trailer: %w", rerr)
+		}
+		if got, want := crc.Sum32(), binary.LittleEndian.Uint32(trailer[:]); got != want {
+			return nil, 0, fmt.Errorf("CRC-32C of %d bytes is %08x, the trailer says %08x", body, got, want)
+		}
+	}
 	if err != nil {
 		return nil, 0, err
 	}
 	return pl, epoch, nil
 }
 
-// decodePipelineBody reads the pipeline payload shared by pipeline-
-// and service-level snapshots from an already-opened reader.
+// decodePipelineBody reads the pipeline body from an already-opened
+// reader.
 func decodePipelineBody(sr *snapshot.Reader) (*Pipeline, error) {
 	cfgJSON := sr.Bytes()
 	if err := sr.Err(); err != nil {
@@ -243,26 +281,14 @@ func decodePipelineBody(sr *snapshot.Reader) (*Pipeline, error) {
 		CalibratedDelta: sr.F64(),
 		TrainingPairs:   sr.Int(),
 	}
-	ns := sr.Int()
-	if err := sr.Err(); err != nil {
-		return nil, err
-	}
-	if ns < 0 {
-		return nil, fmt.Errorf("core: snapshot has %d scored pairs", ns)
-	}
+	ns := sr.Count("scored pairs")
 	// Grow by append with a per-iteration error check: a corrupt count
 	// must neither pre-allocate by the untrusted length nor spin through
 	// billions of no-op reads after the stream has latched an error.
 	for i := 0; i < ns && sr.Err() == nil; i++ {
 		pl.scored = append(pl.scored, ScoredPair{A: sr.Int(), B: sr.Int(), Score: sr.F64()})
 	}
-	nf := sr.Int()
-	if err := sr.Err(); err != nil {
-		return nil, err
-	}
-	if nf < 0 {
-		return nil, fmt.Errorf("core: snapshot has %d forced merges", nf)
-	}
+	nf := sr.Count("forced merges")
 	for i := 0; i < nf && sr.Err() == nil; i++ {
 		pl.forcedMerges = append(pl.forcedMerges, [2]int{sr.Int(), sr.Int()})
 	}
@@ -270,13 +296,7 @@ func decodePipelineBody(sr *snapshot.Reader) (*Pipeline, error) {
 	// Incremental stream: re-derive the columnar views by looking the
 	// symbols up in the replayed tables (AddPaper interned every one of
 	// them, so misses mean a corrupt snapshot).
-	ne := sr.Int()
-	if err := sr.Err(); err != nil {
-		return nil, err
-	}
-	if ne < 0 {
-		return nil, fmt.Errorf("core: snapshot has %d extra papers", ne)
-	}
+	ne := sr.Count("extra papers")
 	for i := 0; i < ne; i++ {
 		p, err := bib.DecodePaperSnapshot(sr)
 		if err != nil {
@@ -405,13 +425,7 @@ func encodeNetwork(w *snapshot.Writer, n *Network) {
 func decodeNetwork(r *snapshot.Reader, corpus *bib.Corpus) (*Network, error) {
 	n := newNetwork(corpus)
 	names := corpus.NameTable()
-	nv := r.Int()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if nv < 0 {
-		return nil, fmt.Errorf("core: snapshot network has %d vertices", nv)
-	}
+	nv := r.Count("network vertices")
 	for i := 0; i < nv; i++ {
 		nid := intern.ID(r.Varint())
 		iso := r.Bool()
@@ -424,13 +438,7 @@ func decodeNetwork(r *snapshot.Reader, corpus *bib.Corpus) (*Network, error) {
 		id := n.addVertexID(nid, iso)
 		n.Verts[id].Papers = decodePaperIDs(r)
 	}
-	ne := r.Int()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if ne < 0 {
-		return nil, fmt.Errorf("core: snapshot network has %d edges", ne)
-	}
+	ne := r.Count("network edges")
 	for i := 0; i < ne; i++ {
 		u, v := r.Int(), r.Int()
 		papers := decodePaperIDs(r)
@@ -445,13 +453,7 @@ func decodeNetwork(r *snapshot.Reader, corpus *bib.Corpus) (*Network, error) {
 		n.G.AddEdge(u, v)
 		n.EdgePapers[edgeKey(u, v)] = papers
 	}
-	nslot := r.Int()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if nslot < 0 {
-		return nil, fmt.Errorf("core: snapshot network has %d slots", nslot)
-	}
+	nslot := r.Count("network slots")
 	for i := 0; i < nslot; i++ {
 		s := Slot{Paper: bib.PaperID(r.Varint()), Index: r.Int()}
 		v := r.Int()
@@ -463,7 +465,7 @@ func decodeNetwork(r *snapshot.Reader, corpus *bib.Corpus) (*Network, error) {
 		}
 		n.SlotVertex[s] = v
 	}
-	return n, nil
+	return n, r.Err()
 }
 
 func encodePaperIDs(w *snapshot.Writer, ids []bib.PaperID) {

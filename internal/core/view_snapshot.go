@@ -8,7 +8,7 @@ import (
 	"iuad/internal/snapshot"
 )
 
-// This file writes service snapshots from a pinned View instead of the
+// This file writes base snapshots from a pinned View instead of the
 // live pipeline, so a base compaction holds the service's write lock
 // only for Pin and encodes beside later commits. That is sound because
 // a View is deeply immutable and carries the whole GCN at its epoch,
@@ -44,15 +44,10 @@ func (vp *ViewPublisher) Pin() *BasePin {
 // Epoch returns the pinned epoch.
 func (p *BasePin) Epoch() uint64 { return p.view.Epoch() }
 
-// Encode writes the service snapshot (v1001) of the pinned epoch.
+// Encode writes the base snapshot (BaseVersion) of the pinned epoch.
 func (p *BasePin) Encode(w io.Writer) error {
-	sw := snapshot.NewWriter(w, ServiceSnapshotVersion)
-	sw.Uvarint(p.Epoch())
 	body := bodyParts{tails: p.tails, extra: p.view.extra, gcn: p.view.encodeNetwork}
-	if err := encodePipelineBody(sw, p.pl, body); err != nil {
-		return err
-	}
-	return sw.Close()
+	return writeBase(w, p.pl, p.Epoch(), body)
 }
 
 // SaveFile writes the pinned epoch to path crash-safely (see

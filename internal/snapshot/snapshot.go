@@ -1,7 +1,7 @@
 // Package snapshot provides the versioned binary encoding primitives
-// behind pipeline snapshots (iuad.SavePipeline / iuad.LoadPipeline): a
-// sticky-error Writer/Reader pair over a magic-tagged, varint-encoded
-// stream. Each layer of the system (bib, textvec, emfit, core) encodes
+// behind the base snapshot (internal/core) and the journal's record
+// payloads (internal/wal): a sticky-error Writer/Reader pair over a
+// magic-tagged, varint-encoded stream. Each layer of the system (bib, textvec, emfit, core) encodes
 // its own state with these primitives, so unexported fields never leak
 // across package boundaries and the wire format lives in one place.
 //
@@ -10,7 +10,9 @@
 // primitives; there is no self-description, so any layout change MUST
 // bump the writer's version, and readers reject versions they don't
 // know. Integers are varints, float64/float32 are IEEE-754 bit patterns
-// (little-endian), strings and byte blobs are length-prefixed.
+// (little-endian), strings and byte blobs are length-prefixed. The
+// stream has no checksum: the base snapshot appends a CRC-32C and each
+// journal record carries an FNV-64a in its frame.
 package snapshot
 
 import (
@@ -21,7 +23,7 @@ import (
 	"math"
 )
 
-// Magic identifies a pipeline snapshot stream.
+// Magic identifies a snapshot stream.
 const Magic = "IUADSNAP"
 
 // maxLen bounds any single length prefix (strings, slices) so a corrupt
@@ -193,25 +195,45 @@ func (e *ErrFormat) Error() string { return "snapshot: " + e.msg }
 // wantVersion is the only version the caller understands.
 func NewReader(r io.Reader, wantVersion uint64) (*Reader, error) {
 	sr := &Reader{r: bufio.NewReader(r)}
-	magic := make([]byte, len(Magic))
-	if _, err := io.ReadFull(sr.r, magic); err != nil {
-		return nil, &ErrFormat{msg: "not a pipeline snapshot (short magic): " + err.Error()}
+	v, err := sr.header()
+	if err == nil && v != wantVersion {
+		err = &ErrFormat{msg: fmt.Sprintf("snapshot version %d, this build reads %d", v, wantVersion)}
 	}
-	if string(magic) != Magic {
-		return nil, &ErrFormat{msg: fmt.Sprintf("bad magic %q", magic)}
-	}
-	v := sr.Uvarint()
-	if sr.err != nil {
-		return nil, sr.err
-	}
-	if v != wantVersion {
-		return nil, &ErrFormat{msg: fmt.Sprintf("snapshot version %d, this build reads %d", v, wantVersion)}
+	if err != nil {
+		return nil, err
 	}
 	return sr, nil
 }
 
+// ReadHeader returns the format version of the stream r starts, whatever
+// it is, for a caller that frames versions differently.
+func ReadHeader(r io.Reader) (uint64, error) {
+	return (&Reader{r: bufio.NewReader(r)}).header()
+}
+
+func (r *Reader) header() (uint64, error) {
+	magic := make([]byte, len(Magic))
+	if _, err := io.ReadFull(r.r, magic); err != nil {
+		return 0, &ErrFormat{msg: "not a snapshot (short magic): " + err.Error()}
+	}
+	if string(magic) != Magic {
+		return 0, &ErrFormat{msg: fmt.Sprintf("bad magic %q", magic)}
+	}
+	v := r.Uvarint()
+	return v, r.err
+}
+
 // Err returns the latched error, if any.
 func (r *Reader) Err() error { return r.err }
+
+// ExpectEOF latches an error unless the stream is exhausted.
+func (r *Reader) ExpectEOF() {
+	if _, err := r.r.Peek(1); err == nil {
+		r.fail(&ErrFormat{msg: "bytes after the end of the stream"})
+	} else if err != io.EOF {
+		r.fail(err)
+	}
+}
 
 func (r *Reader) fail(err error) {
 	if r.err == nil {
@@ -247,6 +269,17 @@ func (r *Reader) Varint() int64 {
 
 // Int reads an int.
 func (r *Reader) Int() int { return int(r.Varint()) }
+
+// Count reads an element count written with Writer.Int and latches an
+// error naming what when it is negative.
+func (r *Reader) Count(what string) int {
+	n := r.Int()
+	if n < 0 {
+		r.fail(&ErrFormat{msg: fmt.Sprintf("%d %s", n, what)})
+		return 0
+	}
+	return n
+}
 
 // Bool reads a boolean.
 func (r *Reader) Bool() bool { return r.Uvarint() != 0 }

@@ -80,8 +80,51 @@ func TestRoundTrip(t *testing.T) {
 	if math.Float32bits(got[1]) != math.Float32bits(-0) {
 		t.Fatalf("f32 -0 bits=%x", math.Float32bits(got[1]))
 	}
+	r.ExpectEOF()
 	if r.Err() != nil {
 		t.Fatal(r.Err())
+	}
+}
+
+func TestHeaderAndTrailingBytes(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf, 1004)
+	w.Uvarint(7)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := ReadHeader(bytes.NewReader(buf.Bytes())); err != nil || v != 1004 {
+		t.Fatalf("ReadHeader = %d, %v; want 1004", v, err)
+	}
+	if _, err := ReadHeader(strings.NewReader("IUADSN")); err == nil {
+		t.Fatal("short magic accepted")
+	}
+	r, err := NewReader(bytes.NewReader(append(buf.Bytes(), 0)), 1004)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Uvarint() != 7 {
+		t.Fatal("uvarint")
+	}
+	if r.ExpectEOF(); r.Err() == nil {
+		t.Fatal("a byte after the stream was accepted")
+	}
+
+	buf.Reset()
+	w = NewWriter(&buf, 1)
+	w.Int(3)
+	w.Int(-2)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if r, err = NewReader(&buf, 1); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Count("things"); n != 3 || r.Err() != nil {
+		t.Fatalf("Count = %d, %v; want 3", n, r.Err())
+	}
+	if n := r.Count("things"); n != 0 || r.Err() == nil || !strings.Contains(r.Err().Error(), "-2 things") {
+		t.Fatalf("negative Count = %d, %v; want 0 and an error naming -2 things", n, r.Err())
 	}
 }
 

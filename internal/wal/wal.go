@@ -69,9 +69,10 @@ const (
 	segHeaderLen = 8 + 8 + 8 + 8 // magic + version + base epoch + generation
 	recHeaderLen = 4 + 8         // u32 payload length + u64 FNV-64a
 
-	// recordVersion is the snapshot-stream version of a record payload
-	// (the 2000+ namespace is the journal's; pipeline/service snapshots
-	// use 1/1001).
+	// recordVersion is the snapshot-stream version of a record payload.
+	// The 2000+ namespace is the journal's; the base snapshot is 1004
+	// (1001 read for upgrades, 1 and 1002/1003 retired). The record's
+	// integrity is the FNV-64a in its frame, not the stream's.
 	recordVersion = 2001
 
 	// maxRecordBytes bounds a single record; a length field past it is

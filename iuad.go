@@ -112,14 +112,17 @@
 //
 // # Snapshots
 //
-// A service persists itself via Service.Save / Service.Close (with
-// WithSnapshot) and restores via Open — no EM re-run, bit-identical
-// serving. The pipeline-level helpers remain underneath:
+// The one persisted format is the base snapshot: the serving epoch and
+// the whole fitted state, closed by a CRC-32C. Service.Save / SaveFile /
+// Close (with WithSnapshot) and the journal's compactions write it; Open
+// restores it with no EM re-run and bit-identical serving, and refuses
+// a damaged one with *SnapshotError instead of refitting over it. A
+// bare Pipeline is saved by wrapping it:
 //
-//	var buf bytes.Buffer
-//	if err := iuad.SavePipeline(&buf, pipeline); err != nil { ... }
-//	restored, err := iuad.LoadPipeline(&buf)
-//	// restored.AddPaper(...) is bit-identical to pipeline.AddPaper(...)
+//	svc, err := iuad.NewService(pipeline)
+//	err = svc.SaveFile("pipeline.snap")
+//	restored, err := iuad.Open(nil, iuad.WithSnapshot("pipeline.snap"))
+//	restored.Pipeline().AddPaper(...) // bit-identical to pipeline.AddPaper(...)
 //
 // Internally all hot paths run on interned integer IDs (author names,
 // venues and title tokens are hashed exactly once, at Corpus.Freeze);
@@ -134,7 +137,6 @@ package iuad
 
 import (
 	"io"
-	"os"
 
 	"iuad/internal/bib"
 	"iuad/internal/core"
@@ -255,56 +257,13 @@ func ParseDBLPLabeled(r io.Reader, maxPapers int) (*Corpus, DBLPStats, error) {
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // Disambiguate runs the full two-stage IUAD algorithm (Alg. 1) on a
-// frozen corpus, returning the bare fitted pipeline.
-//
-// Deprecated: servers should use Open, which wraps this fit in the
-// concurrency-safe Service (lock-free queries, batched ingest,
-// snapshot-on-close). Disambiguate remains fully supported for
-// offline/batch analysis that needs the Pipeline directly (threshold
-// sweeps, experiments, evaluation).
+// frozen corpus, returning the bare fitted pipeline. It is the offline
+// entry point — threshold sweeps, experiments, evaluation; servers use
+// Open, which wraps the same fit in the concurrency-safe Service
+// (lock-free queries, batched ingest, snapshot-on-close). NewService
+// wraps a pipeline it returns, e.g. to save it.
 func Disambiguate(corpus *Corpus, cfg Config) (*Pipeline, error) {
 	return core.Run(corpus, cfg)
-}
-
-// SavePipeline serializes a fitted pipeline as a versioned binary
-// snapshot: the corpus, interned symbol tables, keyword embeddings, the
-// SCN and GCN, the fitted generative model, the calibrated threshold,
-// and any incrementally streamed papers. A restarted server loads the
-// snapshot and answers AddPaper immediately — no EM re-run — with
-// assignments bit-identical to the pipeline that never stopped.
-//
-// Deprecated: servers should persist through Service.Save (or Close
-// with WithSnapshot), which additionally records the serving epoch.
-// SavePipeline remains supported for pipeline-level tooling.
-func SavePipeline(w io.Writer, pl *Pipeline) error { return core.SavePipeline(w, pl) }
-
-// LoadPipeline reconstructs a pipeline saved by SavePipeline.
-//
-// Deprecated: servers should restore through Open with WithSnapshot.
-// LoadPipeline remains supported for pipeline-level tooling.
-func LoadPipeline(r io.Reader) (*Pipeline, error) { return core.LoadPipeline(r) }
-
-// SavePipelineFile writes a pipeline snapshot to path.
-func SavePipelineFile(path string, pl *Pipeline) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := core.SavePipeline(f, pl); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadPipelineFile reads a pipeline snapshot from path.
-func LoadPipelineFile(path string) (*Pipeline, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return core.LoadPipeline(f)
 }
 
 // BuildSCN runs only stage 1 (useful to inspect the high-precision

@@ -112,7 +112,8 @@ func WithWorkers(n int) Option {
 // WithSnapshot binds the service to a snapshot file: Open loads it
 // instead of refitting when it exists (the corpus argument may then be
 // nil), and Close writes the current state back to it atomically
-// (write to a temp file, then rename).
+// (write to a temp file, then rename). A file that exists but does not
+// load is refused with *SnapshotError, never refit over.
 func WithSnapshot(path string) Option {
 	return func(o *options) { o.snapshotPath = path }
 }
@@ -178,20 +179,29 @@ func Open(corpus *Corpus, opts ...Option) (*Service, error) {
 		}
 		return openJournaled(corpus, &o)
 	}
-	if o.snapshotPath != "" {
-		pl, epoch, err := core.LoadServiceSnapshot(o.snapshotPath)
-		switch {
-		case err == nil:
-			return newService(pl, epoch, &o), nil
-		case !errors.Is(err, fs.ErrNotExist):
-			return nil, fmt.Errorf("iuad: load snapshot %s: %w", o.snapshotPath, err)
-		}
-	}
-	pl, err := fitCorpus(corpus, &o)
+	pl, epoch, err := loadOrFit(corpus, o.snapshotPath, &o)
 	if err != nil {
 		return nil, err
 	}
-	return newService(pl, 0, &o), nil
+	return newService(pl, epoch, &o), nil
+}
+
+// loadOrFit loads the base snapshot at path, or fits the corpus when
+// there is none (no path, or no file: the fit is deterministic, so
+// journaled batches replay onto an identical state). Any other load
+// failure is returned, never refit over.
+func loadOrFit(corpus *Corpus, path string, o *options) (*core.Pipeline, uint64, error) {
+	if path != "" {
+		pl, epoch, err := core.LoadServiceSnapshot(path)
+		switch {
+		case err == nil:
+			return pl, epoch, nil
+		case !errors.Is(err, fs.ErrNotExist):
+			return nil, 0, fmt.Errorf("iuad: load snapshot: %w", err)
+		}
+	}
+	pl, err := fitCorpus(corpus, o)
+	return pl, 0, err
 }
 
 // fitCorpus runs the expensive fit path on a frozen corpus.
@@ -233,20 +243,9 @@ func openJournaled(corpus *Corpus, o *options) (*Service, error) {
 	// left its temp file behind, and no one else will delete it.
 	core.RemoveAtomicTemps(j.Dir())
 	base := j.BasePath()
-	pl, epoch, err := core.LoadServiceSnapshot(base)
-	switch {
-	case err == nil:
-	case errors.Is(err, fs.ErrNotExist):
-		// Fresh directory (or crash before the first compaction): fit
-		// the corpus. The fit is deterministic, so journaled batches
-		// replay onto an identical starting state.
-		epoch = 0
-		pl, err = fitCorpus(corpus, o)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("iuad: load base snapshot %s: %w", base, err)
+	pl, epoch, err := loadOrFit(corpus, base, o)
+	if err != nil {
+		return nil, err
 	}
 	s := newService(pl, epoch, o)
 	s.journal = j
@@ -281,9 +280,10 @@ func (s *Service) replayBatch(epoch uint64, batch []bib.Paper) error {
 }
 
 // NewService wraps an already-fitted pipeline (e.g. one built with
-// Disambiguate, or restored with LoadPipeline) in the serving façade.
-// The pipeline must not be used directly while the service is serving:
-// the service owns all writes from here on.
+// Disambiguate) in the serving façade at epoch 0; SaveFile then writes
+// the base snapshot Open(nil, WithSnapshot(path)) restores. The
+// pipeline must not be used directly while the service is serving: the
+// service owns all writes from here on.
 func NewService(pl *Pipeline, opts ...Option) (*Service, error) {
 	if pl == nil || pl.GCN == nil {
 		return nil, fmt.Errorf("iuad: NewService needs a fitted pipeline")
@@ -580,15 +580,15 @@ func (s *Service) Paper(id PaperID) (*Paper, error) {
 	return p, nil
 }
 
-// Save writes a service snapshot (serving header + full pipeline
-// state) to w. A service restored from it with Open answers every
-// query and ingest bit-identically. Like every snapshot of a live service it is encoded from a pinned
-// epoch: writers are held out only while the epoch is pinned.
+// Save writes the base snapshot to w. A service restored from it with
+// Open answers every query and ingest bit-identically. Like every
+// snapshot of a live service it is encoded from a pinned epoch: writers
+// are held out only while the epoch is pinned.
 func (s *Service) Save(w io.Writer) error {
 	return s.pin().Encode(w)
 }
 
-// SaveFile writes a service snapshot to path crash-safely: every file
+// SaveFile writes the base snapshot to path crash-safely: every file
 // is written to a temp name in the target directory, fsynced, then
 // renamed into place (and the directory fsynced), so a crash at any
 // point leaves either the old snapshot or the new one — never a torn

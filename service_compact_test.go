@@ -78,7 +78,7 @@ func assertPinnedMatchesReference(t *testing.T, svc *iuad.Service, when string) 
 		t.Fatalf("%s: reference SaveService: %v", when, err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("%s: pinned v1001 stream (%d bytes) differs from the reference (%d bytes)", when, got.Len(), want.Len())
+		t.Fatalf("%s: pinned stream (%d bytes) differs from the reference (%d bytes)", when, got.Len(), want.Len())
 	}
 	gotDir, wantDir := t.TempDir(), t.TempDir()
 	if err := svc.SaveFile(filepath.Join(gotDir, "s.snap")); err != nil {

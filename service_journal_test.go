@@ -2,6 +2,7 @@ package iuad_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -561,5 +562,110 @@ func TestJournalBackgroundCompaction(t *testing.T) {
 	}
 	if got := surfaceFingerprint(t, rec); got != fp {
 		t.Fatal("post-compaction recovery diverged")
+	}
+}
+
+// baseVersion reads the format version of the base snapshot at path.
+func baseVersion(t *testing.T, path string) uint64 {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, n := binary.Uvarint(b[len("IUADSNAP"):])
+	if n <= 0 {
+		t.Fatalf("%s: no version after the magic", path)
+	}
+	return v
+}
+
+// TestJournalUpgrades1001Base pins the upgrade path of bases written
+// before the CRC trailer (format 1001): a journal directory whose base
+// is 1001, with segments on top, opens and answers exactly like the
+// process that wrote it, and its Close rewrites the base as 1004.
+func TestJournalUpgrades1001Base(t *testing.T) {
+	d := serviceDataset(109)
+	jdir := t.TempDir()
+	svc, err := iuad.Open(d.Corpus,
+		iuad.WithConfig(equivCoreConfig(1)), iuad.WithJournalConfig(jdir, noCompact))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	stream := streamProbes(d, "upgrade", 6)
+	if _, err := svc.AddPapers(context.Background(), stream[:2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 3; i++ {
+		if _, err := svc.AddPapers(context.Background(), stream[i*2:i*2+2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fp, epoch := surfaceFingerprint(t, svc), svc.Epoch()
+
+	// Rewrite the 1004 base as 1001: the same header and body, the
+	// 2-byte version patched and the 4-byte CRC trailer cut.
+	crash := copyJournalDir(t, jdir)
+	base := iuad.JournalBasePath(crash)
+	if v := baseVersion(t, base); v != 1004 {
+		t.Fatalf("compacted base is version %d, want 1004", v)
+	}
+	b, err := os.ReadFile(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v1001 [binary.MaxVarintLen64]byte
+	if n := binary.PutUvarint(v1001[:], 1001); n != 2 {
+		t.Fatalf("version 1001 encodes in %d bytes, want 2", n)
+	}
+	at := len("IUADSNAP")
+	copy(b[at:at+2], v1001[:2])
+	if err := os.WriteFile(base, b[:len(b)-4], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if v := baseVersion(t, base); v != 1001 {
+		t.Fatalf("patched base is version %d, want 1001", v)
+	}
+
+	rec, err := iuad.Open(nil, iuad.WithJournalConfig(crash, noCompact))
+	if err != nil {
+		t.Fatalf("open over a 1001 base: %v", err)
+	}
+	if rep := rec.JournalRecovery(); rep == nil || rep.Batches != 2 {
+		t.Fatalf("replay report %+v, want the 2 batches on top of the base", rep)
+	}
+	if rec.Epoch() != epoch {
+		t.Fatalf("recovered epoch %d, want %d", rec.Epoch(), epoch)
+	}
+	if got := surfaceFingerprint(t, rec); got != fp {
+		t.Fatal("recovery over a 1001 base diverged")
+	}
+	post := streamProbes(d, "upgrade-post", 3)
+	want, err := svc.AddPapers(context.Background(), post)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := rec.AddPapers(context.Background(), post)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameAssignments(t, "after upgrade", want, got)
+
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if v := baseVersion(t, base); v != 1004 {
+		t.Fatalf("base after Close is version %d, want 1004", v)
+	}
+	again, err := iuad.Open(nil, iuad.WithJournal(crash))
+	if err != nil {
+		t.Fatalf("reopen of the upgraded base: %v", err)
+	}
+	defer again.Close()
+	if rep := again.JournalRecovery(); rep == nil || rep.Batches != 0 || again.Epoch() != epoch+1 {
+		t.Fatalf("upgraded reopen at epoch %d replayed %+v, want epoch %d and nothing to replay", again.Epoch(), rep, epoch+1)
 	}
 }

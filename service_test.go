@@ -76,8 +76,9 @@ func TestOpenTypedErrors(t *testing.T) {
 			svc.Close()
 			t.Fatalf("%s: Open over a version-1002 base succeeded", tc.name)
 		}
-		if !strings.Contains(err.Error(), "1002") {
-			t.Fatalf("%s: Open over a version-1002 base = %v, want an error naming version 1002", tc.name, err)
+		var se *iuad.SnapshotError
+		if !strings.Contains(err.Error(), "1002") || !errors.As(err, &se) || se.Path != tc.path {
+			t.Fatalf("%s: Open over a version-1002 base = %v, want a *iuad.SnapshotError naming version 1002 and %s", tc.name, err, tc.path)
 		}
 		if got, err := os.ReadFile(tc.path); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%s: the refused base changed on disk (err %v)", tc.name, err)

@@ -2,9 +2,15 @@ package iuad_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"iuad"
 )
@@ -69,8 +75,48 @@ func assertSameAssignments(t *testing.T, label string, live, loaded [][]iuad.Ass
 	}
 }
 
-// TestSnapshotRoundTrip is the serving contract of the snapshot layer:
-// a pipeline saved mid-stream and reloaded must answer AddPaper exactly
+// saveBase writes pl as a base snapshot the way cmd/iuad -save does
+// (NewService, then SaveFile) and returns the file.
+func saveBase(t *testing.T, pl *iuad.Pipeline) string {
+	t.Helper()
+	svc, err := iuad.NewService(pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "base.snap")
+	if err := svc.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// restoreBase opens a base snapshot the way cmd/iuad -load does. The
+// service is not closed: Close would write the file back.
+func restoreBase(t *testing.T, path string) *iuad.Service {
+	t.Helper()
+	svc, err := iuad.Open(nil, iuad.WithSnapshot(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc
+}
+
+// addAllService is addAll through a service, one paper per batch.
+func addAllService(t *testing.T, svc *iuad.Service, papers []iuad.Paper) [][]iuad.Assignment {
+	t.Helper()
+	var out [][]iuad.Assignment
+	for _, p := range papers {
+		as, err := svc.AddPaper(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, as)
+	}
+	return out
+}
+
+// TestSnapshotRoundTrip is the serving contract of the base snapshot: a
+// pipeline saved mid-stream and restored must answer AddPaper exactly
 // like the pipeline that never stopped — same vertices, same scores to
 // the last bit — for serial and parallel configurations alike.
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -91,19 +137,18 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			// papers and late-interned symbols (names, venues, keywords).
 			preAssignments := addAll(t, live, streamProbes(d, "pre", 6))
 
-			var buf bytes.Buffer
-			if err := iuad.SavePipeline(&buf, live); err != nil {
-				t.Fatal(err)
+			path := saveBase(t, live)
+			svc := restoreBase(t, path)
+			loaded := svc.Pipeline()
+			if svc.Epoch() != 0 {
+				t.Fatalf("restored epoch %d, want 0", svc.Epoch())
 			}
-			snapshotBytes := buf.Len()
-			loaded, err := iuad.LoadPipeline(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatal(err)
+			if fi, err := os.Stat(path); err == nil {
+				t.Logf("snapshot: %d bytes", fi.Size())
 			}
-			t.Logf("snapshot: %d bytes", snapshotBytes)
 
 			// Static state must match bit for bit.
-			if got, want := loaded.CalibratedDelta, live.CalibratedDelta; got != want {
+			if got, want := loaded.CalibratedDelta, live.CalibratedDelta; math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("CalibratedDelta %v vs %v", got, want)
 			}
 			if got, want := loaded.TrainingPairs, live.TrainingPairs; got != want {
@@ -147,17 +192,17 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				}
 			}
 
-			// The contract: both pipelines stream the same future papers
-			// to bit-identical assignments.
+			// The contract: the live pipeline and the restored service
+			// stream the same future papers to bit-identical assignments.
 			post := streamProbes(d, "post", 9)
 			assertSameAssignments(t, "post-save",
-				addAll(t, live, post), addAll(t, loaded, post))
+				addAll(t, live, post), addAllService(t, svc, post))
 		})
 	}
 }
 
 // TestSnapshotDeterministicBytes pins the encode side: saving the same
-// pipeline twice, or saving a loaded pipeline, must produce identical
+// service twice, or saving a restored service, must produce identical
 // bytes (maps are serialized in sorted order).
 func TestSnapshotDeterministicBytes(t *testing.T) {
 	scfg := iuad.DefaultSyntheticConfig()
@@ -169,32 +214,36 @@ func TestSnapshotDeterministicBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	addAll(t, pl, streamProbes(d, "det", 3))
-
-	var a, b bytes.Buffer
-	if err := iuad.SavePipeline(&a, pl); err != nil {
-		t.Fatal(err)
-	}
-	if err := iuad.SavePipeline(&b, pl); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("two saves of one pipeline differ")
-	}
-	loaded, err := iuad.LoadPipeline(bytes.NewReader(a.Bytes()))
+	svc, err := iuad.NewService(pl)
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	var a, b bytes.Buffer
+	if err := svc.Save(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Save(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("two saves of one service differ")
+	}
+	path := filepath.Join(t.TempDir(), "base.snap")
+	if err := os.WriteFile(path, a.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var c bytes.Buffer
-	if err := iuad.SavePipeline(&c, loaded); err != nil {
+	if err := restoreBase(t, path).Save(&c); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), c.Bytes()) {
-		t.Fatal("save→load→save is not byte-stable")
+		t.Fatal("save→restore→save is not byte-stable")
 	}
 }
 
 // TestSnapshotEmptyCorpus round-trips the degenerate model-less pipeline
-// (empty frozen corpus): AddPaper must keep working after load.
+// (empty frozen corpus): AddPaper must keep working after restore.
 func TestSnapshotEmptyCorpus(t *testing.T) {
 	c := iuad.NewCorpus(0)
 	c.Freeze()
@@ -202,46 +251,140 @@ func TestSnapshotEmptyCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := iuad.SavePipeline(&buf, pl); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := iuad.LoadPipeline(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc := restoreBase(t, saveBase(t, pl))
 	paper := iuad.Paper{Title: "first ever", Venue: "V", Year: 2021, Authors: []string{"Solo Author"}}
 	al, err := pl.AddPaper(paper)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bl, err := loaded.AddPaper(paper)
+	bl, err := svc.AddPaper(context.Background(), paper)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameAssignments(t, "empty-corpus", [][]iuad.Assignment{al}, [][]iuad.Assignment{bl})
 }
 
-// TestSnapshotRejectsGarbage pins the failure modes: wrong magic and
-// truncated streams return errors, not panics.
-func TestSnapshotRejectsGarbage(t *testing.T) {
-	if _, err := iuad.LoadPipeline(bytes.NewReader([]byte("not a snapshot at all"))); err == nil {
-		t.Fatal("garbage accepted")
+// openRefused requires Open over the base at path to fail with the
+// typed *SnapshotError naming path.
+func openRefused(t *testing.T, label, path string, corpus *iuad.Corpus, opts ...iuad.Option) {
+	t.Helper()
+	svc, err := iuad.Open(corpus, opts...)
+	if err == nil {
+		svc.Close()
+		t.Fatalf("%s: Open succeeded", label)
 	}
+	var se *iuad.SnapshotError
+	if !errors.As(err, &se) || se.Path != path || !strings.Contains(err.Error(), path) {
+		t.Fatalf("%s: Open = %v, want a *iuad.SnapshotError naming %s", label, err, path)
+	}
+}
+
+// TestSnapshotRejectsGarbage pins the failure modes: a file that is not
+// a snapshot and every truncation of one are refused with the typed
+// error, not a panic and not "no snapshot".
+func TestSnapshotRejectsGarbage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "base.snap")
+	if err := os.WriteFile(path, []byte("not a snapshot at all"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	openRefused(t, "garbage", path, nil, iuad.WithSnapshot(path))
+
 	c := iuad.NewCorpus(0)
 	c.Freeze()
 	pl, err := iuad.Disambiguate(c, iuad.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	full, err := os.ReadFile(saveBase(t, pl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < len(full); cut++ {
+		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		openRefused(t, fmt.Sprintf("truncation at %d of %d", cut, len(full)), path, nil, iuad.WithSnapshot(path))
+	}
+}
+
+// TestSnapshotCorruptBaseRefused pins the base's checksum: 401 evenly
+// spaced single-bit flips, one appended byte and a cut-off CRC trailer
+// are each refused by Open — through WithSnapshot and through a
+// journal's base — with the typed error naming the file. None of them
+// is read as "no snapshot": the corpus is at hand, and a fit fails the
+// test. The refused file is left byte-identical.
+func TestSnapshotCorruptBaseRefused(t *testing.T) {
+	d := serviceDataset(5)
+	cfg := equivCoreConfig(1)
+	svc, err := iuad.Open(d.Corpus, iuad.WithConfig(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
 	var buf bytes.Buffer
-	if err := iuad.SavePipeline(&buf, pl); err != nil {
+	if err := svc.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	for _, cut := range []int{len(full) / 2, len(full) - 1} {
-		if _, err := iuad.LoadPipeline(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
+
+	type variant struct {
+		name string
+		b    []byte
+	}
+	var variants []variant
+	const flips = 401
+	for i := 0; i < flips; i++ {
+		off := i * (len(full) - 1) / (flips - 1)
+		b := bytes.Clone(full)
+		b[off] ^= 1 << (i % 8)
+		variants = append(variants, variant{fmt.Sprintf("flip byte %d bit %d", off, i%8), b})
+	}
+	variants = append(variants,
+		variant{"appended byte", append(bytes.Clone(full), 0)},
+		variant{"CRC cut by 1", full[:len(full)-1]},
+		variant{"CRC cut off", full[:len(full)-4]},
+	)
+
+	snap := filepath.Join(t.TempDir(), "svc.snap")
+	jdir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		path string
+		opt  iuad.Option
+	}{
+		{"WithSnapshot", snap, iuad.WithSnapshot(snap)},
+		{"WithJournal", iuad.JournalBasePath(jdir), iuad.WithJournal(jdir)},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := cfg
+			// The intact base opens: what follows is refused for its damage.
+			if err := os.WriteFile(tc.path, full, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ok, err := iuad.Open(nil, tc.opt)
+			if err != nil {
+				t.Fatalf("intact base: %v", err)
+			}
+			if ok.Stats() != svc.Stats() {
+				t.Fatalf("intact base restored %+v, want %+v", ok.Stats(), svc.Stats())
+			}
+			if err := ok.Close(); err != nil { // releases the journal's directory lock
+				t.Fatal(err)
+			}
+			cfg.StageHook = func(stage string, _ time.Duration) {
+				t.Errorf("Open over a corrupt base fitted the corpus (stage %s)", stage)
+			}
+			for _, v := range variants {
+				if err := os.WriteFile(tc.path, v.b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				openRefused(t, v.name, tc.path, d.Corpus, iuad.WithConfig(cfg), tc.opt)
+				if got, err := os.ReadFile(tc.path); err != nil || !bytes.Equal(got, v.b) {
+					t.Fatalf("%s: the refused base changed on disk (err %v)", v.name, err)
+				}
+			}
+		})
 	}
 }
