@@ -25,22 +25,22 @@ var updateGolden = flag.Bool("update", false, "rewrite golden pipeline fixtures"
 // Floats are stored as IEEE-754 bit patterns so "equal" means identical
 // to the last ulp, not approximately equal after decimal round-trips.
 type goldenPipeline struct {
-	Corpus          string   `json:"corpus"`
-	Papers          int      `json:"papers"`
-	SCNVerts        int      `json:"scn_verts"`
-	SCNEdges        int      `json:"scn_edges"`
-	GCNVerts        int      `json:"gcn_verts"`
-	GCNEdges        int      `json:"gcn_edges"`
-	TrainingPairs   int      `json:"training_pairs"`
-	CalibratedDelta uint64   `json:"calibrated_delta_bits"`
-	ModelP          uint64   `json:"model_p_bits"`
-	ModelLL         uint64   `json:"model_ll_bits"`
-	ModelIters      int      `json:"model_iters"`
-	MatchedMeans    []uint64 `json:"matched_mean_bits"`
-	UnmatchedMeans  []uint64 `json:"unmatched_mean_bits"`
-	ScoredPairs     int      `json:"scored_pairs"`
-	ScoredHash      uint64   `json:"scored_hash"`
-	SlotHash        uint64   `json:"slot_hash"`
+	Corpus          string             `json:"corpus"`
+	Papers          int                `json:"papers"`
+	SCNVerts        int                `json:"scn_verts"`
+	SCNEdges        int                `json:"scn_edges"`
+	GCNVerts        int                `json:"gcn_verts"`
+	GCNEdges        int                `json:"gcn_edges"`
+	TrainingPairs   int                `json:"training_pairs"`
+	CalibratedDelta uint64             `json:"calibrated_delta_bits"`
+	ModelP          uint64             `json:"model_p_bits"`
+	ModelLL         uint64             `json:"model_ll_bits"`
+	ModelIters      int                `json:"model_iters"`
+	MatchedMeans    []uint64           `json:"matched_mean_bits"`
+	UnmatchedMeans  []uint64           `json:"unmatched_mean_bits"`
+	ScoredPairs     int                `json:"scored_pairs"`
+	ScoredHash      uint64             `json:"scored_hash"`
+	SlotHash        uint64             `json:"slot_hash"`
 	Incremental     []goldenAssignment `json:"incremental"`
 }
 

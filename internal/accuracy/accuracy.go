@@ -91,7 +91,7 @@ func Scale(targetPapers int, seed int64) Config {
 // RoundCurve is the accuracy of the batch path after one merge round
 // (round 0 = initial decision, 1.. = refinement rounds).
 type RoundCurve struct {
-	Round   int                `json:"round"`
+	Round   int                 `json:"round"`
 	Metrics eval.ClusterMetrics `json:"metrics"`
 }
 

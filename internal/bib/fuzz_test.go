@@ -12,8 +12,8 @@ import (
 // Keywords is always the stop-word/length filter of TitleTokens.
 func FuzzTitleTokens(f *testing.F) {
 	f.Add("Mining Frequent Patterns Without Candidate Generation")
-	f.Add("Théorie des Graphes.")                       // latin1 accents
-	f.Add("a&amp;b &lt;tags&gt; &#233;")                // entity-looking text
+	f.Add("Théorie des Graphes.")        // latin1 accents
+	f.Add("a&amp;b &lt;tags&gt; &#233;") // entity-looking text
 	f.Add("ALL CAPS 123 mixed09CASE")
 	f.Add("")
 	f.Add("!!!")

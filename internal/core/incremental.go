@@ -87,34 +87,14 @@ func (pl *Pipeline) AddPapers(ctx context.Context, batch []bib.Paper) ([][]Assig
 	return out, nil
 }
 
-// addPaper ingests one paper (shared by AddPaper and AddPapers).
+// addPaper ingests one paper (shared by AddPaper and AddPapers): the
+// scoring half decides every slot, the registration half folds the
+// paper into the network under those decisions.
 func (pl *Pipeline) addPaper(p bib.Paper) ([]Assignment, error) {
-	p.ID = bib.PaperID(pl.Corpus.Len() + len(pl.extra))
-	if err := p.Validate(); err != nil {
+	paper, nameIDs, err := pl.internPaper(p)
+	if err != nil {
 		return nil, err
 	}
-	pl.extra = append(pl.extra, p)
-	paper := &pl.extra[len(pl.extra)-1]
-
-	// Intern the paper's symbols into the shared tables (deterministic:
-	// single goroutine, attribute order) and record its columnar view so
-	// the paperSource resolves it like a corpus paper.
-	nameIDs := make([]intern.ID, len(paper.Authors))
-	for i, a := range paper.Authors {
-		nameIDs[i] = pl.Corpus.NameTable().Intern(a)
-	}
-	venueID := intern.None
-	if paper.Venue != "" {
-		venueID = pl.Corpus.VenueTable().Intern(paper.Venue)
-	}
-	kw := bib.Keywords(paper.Title)
-	kwIDs := make([]intern.ID, len(kw))
-	for i, w := range kw {
-		kwIDs[i] = pl.Corpus.WordTable().Intern(w)
-	}
-	pl.extraKw = append(pl.extraKw, kwIDs)
-	pl.extraVenue = append(pl.extraVenue, venueID)
-	pl.extraYear = append(pl.extraYear, paper.Year)
 
 	// Warm the profile cache once for the union of every slot's candidate
 	// vertices. Slots are independent — co-author names are distinct
@@ -136,14 +116,101 @@ func (pl *Pipeline) addPaper(p bib.Paper) ([]Assignment, error) {
 
 	out := make([]Assignment, 0, len(paper.Authors))
 	for idx := range paper.Authors {
-		slot := Slot{Paper: paper.ID, Index: idx}
 		vertex, score, created := pl.assignSlot(paper, idx, nameIDs)
-		pl.GCN.SlotVertex[slot] = vertex
-		out = append(out, Assignment{Slot: slot, Vertex: vertex, Created: created, Score: score})
+		out = append(out, Assignment{Slot: Slot{Paper: paper.ID, Index: idx}, Vertex: vertex, Created: created, Score: score})
 	}
-	// Register the paper: fold it into each assigned vertex and recover
-	// the collaborative relations among the slots.
+	pl.registerPaper(paper, out)
+	return out, nil
+}
+
+// ApplyOutcome registers a batch whose decisions were already made:
+// verts holds the vertex of every author slot, in paper then author
+// order, as AddPapers assigned them. Nothing is scored, so the result
+// depends only on the decisions; the profile cache stays as it was.
+// Each vertex must be an existing vertex carrying the slot's name or
+// exactly the next vertex ID (the slot created it); anything else is
+// an error, with the papers before the offending one registered. The
+// returned assignments' Score is NaN: no score was computed.
+func (pl *Pipeline) ApplyOutcome(batch []bib.Paper, verts []int) ([][]Assignment, error) {
+	if pl.GCN == nil {
+		return nil, fmt.Errorf("core: ApplyOutcome before BuildGCN")
+	}
+	slots := 0
+	for i := range batch {
+		slots += len(batch[i].Authors)
+	}
+	if slots != len(verts) {
+		return nil, fmt.Errorf("core: outcome has %d slots, the batch has %d", len(verts), slots)
+	}
+	out := make([][]Assignment, 0, len(batch))
+	for _, p := range batch {
+		paper, nameIDs, err := pl.internPaper(p)
+		if err != nil {
+			return out, err
+		}
+		as := make([]Assignment, len(paper.Authors))
+		for idx, nid := range nameIDs {
+			v := verts[0]
+			verts = verts[1:]
+			slot := Slot{Paper: paper.ID, Index: idx}
+			switch n := len(pl.GCN.Verts); {
+			case v == n:
+				pl.GCN.addVertexID(nid, true)
+				as[idx] = Assignment{Slot: slot, Vertex: v, Created: true, Score: math.NaN()}
+			case v >= 0 && v < n && pl.GCN.Verts[v].NameID == nid:
+				as[idx] = Assignment{Slot: slot, Vertex: v, Score: math.NaN()}
+			case v >= 0 && v < n:
+				return out, fmt.Errorf("core: paper %d slot %d (%q) recorded as vertex %d, which is %q",
+					paper.ID, idx, paper.Authors[idx], v, pl.GCN.Verts[v].Name)
+			default:
+				return out, fmt.Errorf("core: paper %d slot %d (%q) recorded as vertex %d, want one below %d or %d itself",
+					paper.ID, idx, paper.Authors[idx], v, n, n)
+			}
+		}
+		pl.registerPaper(paper, as)
+		out = append(out, as)
+	}
+	return out, nil
+}
+
+// internPaper numbers and validates a streamed paper, appends it to the
+// stream, and interns its symbols into the shared tables (deterministic:
+// single goroutine, attribute order) with its columnar view, so the
+// paperSource resolves it like a corpus paper. It returns the stored
+// paper and its authors' name IDs.
+func (pl *Pipeline) internPaper(p bib.Paper) (*bib.Paper, []intern.ID, error) {
+	p.ID = bib.PaperID(pl.Corpus.Len() + len(pl.extra))
+	if err := p.Validate(); err != nil {
+		return nil, nil, err
+	}
+	pl.extra = append(pl.extra, p)
+	paper := &pl.extra[len(pl.extra)-1]
+	nameIDs := make([]intern.ID, len(paper.Authors))
+	for i, a := range paper.Authors {
+		nameIDs[i] = pl.Corpus.NameTable().Intern(a)
+	}
+	venueID := intern.None
+	if paper.Venue != "" {
+		venueID = pl.Corpus.VenueTable().Intern(paper.Venue)
+	}
+	kw := bib.Keywords(paper.Title)
+	kwIDs := make([]intern.ID, len(kw))
+	for i, w := range kw {
+		kwIDs[i] = pl.Corpus.WordTable().Intern(w)
+	}
+	pl.extraKw = append(pl.extraKw, kwIDs)
+	pl.extraVenue = append(pl.extraVenue, venueID)
+	pl.extraYear = append(pl.extraYear, paper.Year)
+	return paper, nameIDs, nil
+}
+
+// registerPaper is the registration half of ingest: it records each
+// slot's vertex, folds the paper into every assigned vertex, recovers
+// the collaborative relations among the slots and drops the cached
+// profiles the new edges affect.
+func (pl *Pipeline) registerPaper(paper *bib.Paper, out []Assignment) {
 	for _, a := range out {
+		pl.GCN.SlotVertex[a.Slot] = a.Vertex
 		v := &pl.GCN.Verts[a.Vertex]
 		v.Papers = unionPapers(v.Papers, []bib.PaperID{paper.ID})
 		pl.sim.invalidate(a.Vertex)
@@ -174,7 +241,6 @@ func (pl *Pipeline) addPaper(p bib.Paper) ([]Assignment, error) {
 		}
 		pl.invalidateNeighborhoods(pl.inval.centers, radius)
 	}
-	return out, nil
 }
 
 // minParallelCandidates is the candidate-set size below which fanning
@@ -202,11 +268,15 @@ type invalScratch struct {
 // vertices are all mutually adjacent after registration) are walked
 // once instead of once per assigned vertex.
 func (pl *Pipeline) invalidateNeighborhoods(centers []int, radius int) {
+	if len(pl.sim.cache) == 0 {
+		return // the walk only deletes cache entries
+	}
 	s := &pl.inval
 	if n := len(pl.GCN.Verts); len(s.stamp) < n {
-		grown := make([]uint32, n)
-		copy(grown, s.stamp)
-		s.stamp = grown
+		// Geometric growth: the vertex count grows on most commits, and
+		// an exact-size copy would make each of them O(vertices).
+		s.stamp = slices.Grow(s.stamp, n-len(s.stamp))
+		s.stamp = s.stamp[:cap(s.stamp)]
 	}
 	s.epoch++
 	if s.epoch == 0 { // stamp wrap: stale marks could alias, reset

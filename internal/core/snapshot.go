@@ -165,9 +165,11 @@ func LoadServiceSnapshot(path string) (*Pipeline, uint64, error) {
 }
 
 // readBase is the one reader of the base framing. It checks the
-// version first, then decodes the body through the CRC-32C: one pass,
-// no second copy of the file. A body that fails to decode is hashed to
-// the end anyway, so damage is reported as the checksum mismatch it is.
+// version first, then streams one CRC-32C pass over the body and
+// compares it with the trailer before decoding anything, so a damaged
+// base is refused at the cost of a read and no count in it sizes an
+// allocation. The decode then reads the file again; neither pass holds
+// a copy of it. Version 1001 has no trailer and is decoded unchecked.
 func readBase(f *os.File) (*Pipeline, uint64, error) {
 	fi, err := f.Stat()
 	if err != nil {
@@ -181,13 +183,22 @@ func readBase(f *os.File) (*Pipeline, uint64, error) {
 	switch version {
 	case BaseVersion:
 		body -= crcLen
+		crc := crc32.New(castagnoli)
+		if _, err := io.Copy(crc, io.NewSectionReader(f, 0, body)); err != nil {
+			return nil, 0, err
+		}
+		var trailer [crcLen]byte
+		if _, err := f.ReadAt(trailer[:], body); err != nil {
+			return nil, 0, fmt.Errorf("CRC-32C trailer: %w", err)
+		}
+		if got, want := crc.Sum32(), binary.LittleEndian.Uint32(trailer[:]); got != want {
+			return nil, 0, fmt.Errorf("CRC-32C of %d bytes is %08x, the trailer says %08x", body, got, want)
+		}
 	case baseVersion1001:
 	default:
 		return nil, 0, fmt.Errorf("snapshot version %d, this build reads %d (and %d, to upgrade it)", version, BaseVersion, baseVersion1001)
 	}
-	crc := crc32.New(castagnoli)
-	in := io.TeeReader(io.NewSectionReader(f, 0, body), crc)
-	sr, err := snapshot.NewReader(in, version)
+	sr, err := snapshot.NewReader(io.NewSectionReader(f, 0, body), version)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -196,18 +207,6 @@ func readBase(f *os.File) (*Pipeline, uint64, error) {
 	if err == nil {
 		sr.ExpectEOF()
 		err = sr.Err()
-	}
-	if version == BaseVersion {
-		// Hash what a failed decode left unread. A read error here
-		// leaves the hash short, which can only mismatch.
-		_, _ = io.Copy(io.Discard, in)
-		var trailer [crcLen]byte
-		if _, rerr := f.ReadAt(trailer[:], body); rerr != nil {
-			return nil, 0, fmt.Errorf("CRC-32C trailer: %w", rerr)
-		}
-		if got, want := crc.Sum32(), binary.LittleEndian.Uint32(trailer[:]); got != want {
-			return nil, 0, fmt.Errorf("CRC-32C of %d bytes is %08x, the trailer says %08x", body, got, want)
-		}
 	}
 	if err != nil {
 		return nil, 0, err

@@ -401,10 +401,10 @@ func TestScorerMatchesLogOdds(t *testing.T) {
 	scorer := model.Scorer()
 	probe := randomMatrix(rng, 500, specs)
 	probe = append(probe,
-		[]float64{0, 0, 0, 0},             // zero atoms, first bin
-		[]float64{-1, -1, -1, 0},          // negative clamps
-		[]float64{5, 9, 99, 7},            // overflow bin, heavy tails
-		[]float64{0.05, 0.2, 0.5, 1e-13},  // on bin edges, sub-epsilon ZIE
+		[]float64{0, 0, 0, 0},            // zero atoms, first bin
+		[]float64{-1, -1, -1, 0},         // negative clamps
+		[]float64{5, 9, 99, 7},           // overflow bin, heavy tails
+		[]float64{0.05, 0.2, 0.5, 1e-13}, // on bin edges, sub-epsilon ZIE
 	)
 	mx := NewMatrix(len(specs), len(probe))
 	for _, g := range probe {

@@ -29,9 +29,9 @@ func FuzzEMFit(f *testing.F) {
 	inf := append([]byte(nil), clean...)
 	binary.LittleEndian.PutUint64(inf[1+8*2:], math.Float64bits(math.Inf(-1)))
 	f.Add(inf)
-	f.Add([]byte{2, 1, 2, 3})     // ragged tail
-	f.Add([]byte{0})              // zero rows
-	f.Add([]byte{})               // nothing at all
+	f.Add([]byte{2, 1, 2, 3}) // ragged tail
+	f.Add([]byte{0})          // zero rows
+	f.Add([]byte{})           // nothing at all
 
 	specs := []FeatureSpec{
 		{Name: "g", Family: Gaussian},

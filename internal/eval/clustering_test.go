@@ -26,8 +26,8 @@ func TestClusterMetricsTable(t *testing.T) {
 				{Cluster: 1, Truth: 20}, {Cluster: 1, Truth: 20}, {Cluster: 1, Truth: 20},
 			}},
 			want: ClusterMetrics{
-				Pairwise:  Metrics{MicroA: 1, MicroP: 1, MicroR: 1, MicroF: 1},
-				B3P:       1, B3R: 1, B3F: 1, Purity: 1,
+				Pairwise: Metrics{MicroA: 1, MicroP: 1, MicroR: 1, MicroF: 1},
+				B3P:      1, B3R: 1, B3F: 1, Purity: 1,
 				Instances: 5, Blocks: 1,
 			},
 		},
@@ -40,8 +40,8 @@ func TestClusterMetricsTable(t *testing.T) {
 				{Cluster: 0, Truth: 1}, {Cluster: 1, Truth: 1}, {Cluster: 2, Truth: 1},
 			}},
 			want: ClusterMetrics{
-				Pairwise:  Metrics{},
-				B3P:       1, B3R: 1.0 / 3, B3F: 2 * 1 * (1.0 / 3) / (1 + 1.0/3),
+				Pairwise: Metrics{},
+				B3P:      1, B3R: 1.0 / 3, B3F: 2 * 1 * (1.0 / 3) / (1 + 1.0/3),
 				Purity:    1,
 				Instances: 3, Blocks: 1,
 			},
@@ -54,8 +54,8 @@ func TestClusterMetricsTable(t *testing.T) {
 				{Cluster: 7, Truth: 1}, {Cluster: 7, Truth: 2}, {Cluster: 7, Truth: 3},
 			}},
 			want: ClusterMetrics{
-				Pairwise:  Metrics{},
-				B3P:       1.0 / 3, B3R: 1, B3F: 2 * (1.0 / 3) * 1 / (1.0/3 + 1),
+				Pairwise: Metrics{},
+				B3P:      1.0 / 3, B3R: 1, B3F: 2 * (1.0 / 3) * 1 / (1.0/3 + 1),
 				Purity:    1.0 / 3,
 				Instances: 3, Blocks: 1,
 			},
@@ -71,8 +71,8 @@ func TestClusterMetricsTable(t *testing.T) {
 				{Cluster: 1, Truth: 1}, {Cluster: 1, Truth: 2},
 			}},
 			want: ClusterMetrics{
-				Pairwise:  Metrics{MicroA: 1.0 / 3},
-				B3P:       0.5, B3R: 0.5, B3F: 0.5, Purity: 0.5,
+				Pairwise: Metrics{MicroA: 1.0 / 3},
+				B3P:      0.5, B3R: 0.5, B3F: 0.5, Purity: 0.5,
 				Instances: 4, Blocks: 1,
 			},
 		},
@@ -87,8 +87,8 @@ func TestClusterMetricsTable(t *testing.T) {
 			// One labeled instance: no pairs, but B³ and purity see a
 			// perfectly pure singleton.
 			want: ClusterMetrics{
-				Pairwise:  Metrics{},
-				B3P:       1, B3R: 1, B3F: 1, Purity: 1,
+				Pairwise: Metrics{},
+				B3P:      1, B3R: 1, B3F: 1, Purity: 1,
 				Instances: 1, Blocks: 1,
 			},
 		},
@@ -103,8 +103,8 @@ func TestClusterMetricsTable(t *testing.T) {
 				{Cluster: 0, Truth: -1}, {Cluster: 9, Truth: -1},
 			}},
 			want: ClusterMetrics{
-				Pairwise:  Metrics{MicroA: 1, MicroP: 1, MicroR: 1, MicroF: 1},
-				B3P:       1, B3R: 1, B3F: 1, Purity: 1,
+				Pairwise: Metrics{MicroA: 1, MicroP: 1, MicroR: 1, MicroF: 1},
+				B3P:      1, B3R: 1, B3F: 1, Purity: 1,
 				Instances: 2, Blocks: 1, Unlabeled: 2,
 			},
 		},
@@ -122,8 +122,8 @@ func TestClusterMetricsTable(t *testing.T) {
 				{{Cluster: 0, Truth: 1}, {Cluster: 1, Truth: 2}}, // 1 TN
 			},
 			want: ClusterMetrics{
-				Pairwise:  Metrics{MicroA: 1, MicroP: 1, MicroR: 1, MicroF: 1},
-				B3P:       1, B3R: 1, B3F: 1, Purity: 1,
+				Pairwise: Metrics{MicroA: 1, MicroP: 1, MicroR: 1, MicroF: 1},
+				B3P:      1, B3R: 1, B3F: 1, Purity: 1,
 				Instances: 4, Blocks: 2,
 			},
 		},

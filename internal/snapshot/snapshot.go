@@ -205,6 +205,18 @@ func NewReader(r io.Reader, wantVersion uint64) (*Reader, error) {
 	return sr, nil
 }
 
+// NewVersionedReader validates the magic and returns a reader with the
+// stream's version, whatever it is, for a caller that reads more than
+// one version and checks it itself.
+func NewVersionedReader(r io.Reader) (*Reader, uint64, error) {
+	sr := &Reader{r: bufio.NewReader(r)}
+	v, err := sr.header()
+	if err != nil {
+		return nil, 0, err
+	}
+	return sr, v, nil
+}
+
 // ReadHeader returns the format version of the stream r starts, whatever
 // it is, for a caller that frames versions differently.
 func ReadHeader(r io.Reader) (uint64, error) {

@@ -18,6 +18,19 @@ import (
 // recovery.
 type Apply func(epoch uint64, batch []bib.Paper) error
 
+// ApplyOutcome is Apply with the batch's recorded outcome: the vertex
+// of every author slot, in paper then author order, as the live commit
+// assigned them. outcome is nil when no later record carries it — the
+// last batch, or one followed by a version-2001 record or a Cut — and
+// the batch must then be decided again. An error that wraps
+// ErrBadOutcome is reported as a *CorruptError at the record that
+// carried the outcome.
+type ApplyOutcome func(epoch uint64, batch []bib.Paper, outcome []int) error
+
+// ErrBadOutcome marks an ApplyOutcome failure caused by a recorded
+// outcome that does not fit the replayed state.
+var ErrBadOutcome = errors.New("recorded outcome does not fit the replayed state")
+
 // ReplayReport summarizes one recovery: what was replayed, what a
 // crash tore off, what compaction left behind. Served by /healthz.
 type ReplayReport struct {
@@ -25,6 +38,9 @@ type ReplayReport struct {
 	Segments  int    `json:"segments"`
 	Batches   int    `json:"batches"`
 	Papers    int    `json:"papers"`
+	// Decided counts the batches applied by their recorded outcome; the
+	// rest were handed over without one.
+	Decided int `json:"decided"`
 	// TruncatedTail is set when the final record was torn by a crash
 	// mid-write and was cut off (the batch it held was never acked
 	// durable-complete, so dropping it is correct).
@@ -58,7 +74,21 @@ type ReplayReport struct {
 //
 // After Recover the journal appends into a fresh generation, so a
 // previously-truncated tail can never be appended into.
+//
+// Recover ignores recorded outcomes; RecoverOutcomes hands them over.
 func (j *Journal) Recover(baseEpoch uint64, apply Apply) (*ReplayReport, error) {
+	var ao ApplyOutcome
+	if apply != nil {
+		ao = func(epoch uint64, batch []bib.Paper, _ []int) error { return apply(epoch, batch) }
+	}
+	return j.RecoverOutcomes(baseEpoch, ao)
+}
+
+// RecoverOutcomes is Recover handing each batch over with its recorded
+// outcome. The outcome of a batch travels in the next record, so one
+// batch is held back until the next record is verified; the last batch
+// comes without an outcome.
+func (j *Journal) RecoverOutcomes(baseEpoch uint64, apply ApplyOutcome) (*ReplayReport, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
@@ -103,12 +133,15 @@ func (j *Journal) Recover(baseEpoch uint64, apply Apply) (*ReplayReport, error) 
 		return segs[a].gen < segs[b].gen
 	})
 	rep := &ReplayReport{BaseEpoch: baseEpoch}
-	next := baseEpoch + 1
+	rp := &replayer{apply: apply, rep: rep, next: baseEpoch + 1}
 	for i, sg := range segs {
 		last := i == len(segs)-1
-		if err := j.replaySegment(sg.path, sg.gen, last, &next, apply, rep); err != nil {
+		if err := j.replaySegment(sg.path, sg.gen, last, rp); err != nil {
 			return nil, err
 		}
+	}
+	if err := rp.flush(nil, "", 0); err != nil {
+		return nil, err
 	}
 	for _, p := range stale {
 		if os.Remove(p) == nil {
@@ -127,10 +160,72 @@ func (j *Journal) Recover(baseEpoch uint64, apply Apply) (*ReplayReport, error) 
 	return rep, nil
 }
 
+// replayer feeds verified records to the apply function, holding one
+// batch back until the record after it brings its outcome.
+type replayer struct {
+	apply   ApplyOutcome
+	rep     *ReplayReport
+	next    uint64 // the epoch the next record must carry
+	holding bool   // held is the batch of epoch next-1
+	held    []bib.Paper
+}
+
+// push takes one verified record; path and off locate it, for errors
+// about the outcome it carries.
+func (rp *replayer) push(path string, off int64, epoch uint64, batch []bib.Paper, outcome []int) error {
+	if epoch != rp.next {
+		return &CorruptError{Path: path, Offset: off,
+			Reason: fmt.Sprintf("record epoch %d, want %d (missing or reordered batch)", epoch, rp.next)}
+	}
+	// With nothing held, the batch before this record is in the base
+	// and flush ignores its outcome.
+	if err := rp.flush(outcome, path, off); err != nil {
+		return err
+	}
+	rp.holding, rp.held = true, batch
+	rp.next++
+	rp.rep.Batches++
+	rp.rep.Papers += len(batch)
+	return nil
+}
+
+// flush applies the held batch, by outcome when there is one.
+func (rp *replayer) flush(outcome []int, path string, off int64) error {
+	if !rp.holding {
+		return nil
+	}
+	batch, epoch := rp.held, rp.next-1
+	rp.holding, rp.held = false, nil
+	if rp.apply == nil {
+		return nil
+	}
+	if outcome != nil {
+		slots := 0
+		for i := range batch {
+			slots += len(batch[i].Authors)
+		}
+		if slots != len(outcome) {
+			return &CorruptError{Path: path, Offset: off,
+				Reason: fmt.Sprintf("outcome of epoch %d has %d slots, the batch has %d", epoch, len(outcome), slots)}
+		}
+	}
+	if err := rp.apply(epoch, batch, outcome); err != nil {
+		if outcome != nil && errors.Is(err, ErrBadOutcome) {
+			return &CorruptError{Path: path, Offset: off, Reason: fmt.Sprintf("outcome of epoch %d: %v", epoch, err)}
+		}
+		return fmt.Errorf("wal: apply journaled batch (epoch %d): %w", epoch, err)
+	}
+	if outcome != nil {
+		rp.rep.Decided++
+	}
+	return nil
+}
+
 // replaySegment verifies and applies one segment's records. last
 // marks the final (highest-generation) segment, the only place the
 // torn-tail rule applies.
-func (j *Journal) replaySegment(path string, gen uint64, last bool, next *uint64, apply Apply, rep *ReplayReport) error {
+func (j *Journal) replaySegment(path string, gen uint64, last bool, rp *replayer) error {
+	rep := rp.rep
 	if err := faultinject.Fire(faultinject.JournalReplay); err != nil {
 		return fmt.Errorf("wal: replay %s: %w", filepath.Base(path), err)
 	}
@@ -181,22 +276,13 @@ func (j *Journal) replaySegment(path string, gen uint64, last bool, next *uint64
 			}
 			return j.truncateTail(path, off, rep)
 		}
-		epoch, batch, err := decodeRecordPayload(payload)
+		epoch, batch, outcome, err := decodeRecordPayload(payload)
 		if err != nil {
 			return &CorruptError{Path: path, Offset: off, Reason: "payload decode: " + err.Error()}
 		}
-		if epoch != *next {
-			return &CorruptError{Path: path, Offset: off,
-				Reason: fmt.Sprintf("record epoch %d, want %d (missing or reordered batch)", epoch, *next)}
+		if err := rp.push(path, off, epoch, batch, outcome); err != nil {
+			return err
 		}
-		if apply != nil {
-			if err := apply(epoch, batch); err != nil {
-				return fmt.Errorf("wal: apply journaled batch (epoch %d): %w", epoch, err)
-			}
-		}
-		*next++
-		rep.Batches++
-		rep.Papers += len(batch)
 		off = end
 	}
 	j.segBytes += n

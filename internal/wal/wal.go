@@ -3,9 +3,13 @@
 // — one admitted batch, which maps 1:1 to an epoch publish — is
 // appended as a length-prefixed, FNV-64a-checksummed record to a
 // generation-numbered segment file, BEFORE the batch is applied in
-// memory or acked to the client. After a crash, Recover replays the
-// surviving records on top of the base snapshot and reproduces the
-// never-crashed state bit-identically.
+// memory or acked to the client. Each record also carries the outcome
+// of the batch before it — the vertex every author slot was assigned
+// to — which was not yet known when that batch was journaled. After a
+// crash, Recover replays the surviving records on top of the base
+// snapshot and reproduces the never-crashed state bit-identically:
+// a batch whose outcome survived is applied by its recorded decisions,
+// the last batch is handed over to be scored again.
 //
 // # On-disk layout
 //
@@ -30,8 +34,8 @@
 //	[u32 LE payload length][u64 LE FNV-64a of payload][payload]
 //
 // The payload is a versioned snapshot stream (internal/snapshot)
-// carrying the batch's epoch and its papers. Records never span
-// segments.
+// carrying the batch's epoch, its papers and the previous batch's
+// outcome. Records never span segments.
 //
 // # Durability policies
 //
@@ -50,6 +54,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -69,11 +74,19 @@ const (
 	segHeaderLen = 8 + 8 + 8 + 8 // magic + version + base epoch + generation
 	recHeaderLen = 4 + 8         // u32 payload length + u64 FNV-64a
 
-	// recordVersion is the snapshot-stream version of a record payload.
-	// The 2000+ namespace is the journal's; the base snapshot is 1004
-	// (1001 read for upgrades, 1 and 1002/1003 retired). The record's
-	// integrity is the FNV-64a in its frame, not the stream's.
-	recordVersion = 2001
+	// recordVersion is the snapshot-stream version of a record payload:
+	// uvarint epoch, the batch (count, then each paper), then the
+	// outcome of the batch at epoch-1 — a uvarint slot count (0 when
+	// the record carries none) and one uvarint vertex ID per slot, in
+	// paper then author order. A created vertex is recorded as the ID
+	// it got, the next free one, so no flag is needed. The 2000+
+	// namespace is the journal's; the base snapshot is 1004 (1001 read
+	// for upgrades, 1 and 1002/1003 retired). The record's integrity is
+	// the FNV-64a in its frame, not the stream's.
+	recordVersion = 2002
+	// recordVersion2001 is the record without the outcome. It is still
+	// read, and its batches are scored on replay; nothing writes it.
+	recordVersion2001 = 2001
 
 	// maxRecordBytes bounds a single record; a length field past it is
 	// treated as corruption, not an allocation request.
@@ -250,6 +263,13 @@ type Journal struct {
 	rotations  int64
 	fsyncs     int64
 
+	// outcome is the last batch outcome handed over by RecordOutcome,
+	// for outcomeEpoch; the record for outcomeEpoch+1 carries it. It
+	// outlives the Append that carries it, so a Rollback leaves it
+	// pending for the retried record.
+	outcome      []int
+	outcomeEpoch uint64
+
 	fsyncLat *hdrhist.Histogram
 	stopCh   chan struct{}
 	doneCh   chan struct{}
@@ -304,16 +324,15 @@ func (j *Journal) BasePath() string { return BaseSnapshotPath(j.dir) }
 // means no record survives — the caller must fail the batch before
 // acking it. The token withdraws the record via Rollback if the
 // in-memory apply then fails without landing anything.
+//
+// The record carries the outcome RecordOutcome last handed over when
+// that outcome is for epoch-1.
 func (j *Journal) Append(epoch uint64, batch []bib.Paper) (AppendToken, error) {
 	if len(batch) == 0 {
 		return AppendToken{}, errors.New("wal: empty batch")
 	}
 	if err := faultinject.Fire(faultinject.JournalAppend); err != nil {
 		return AppendToken{}, fmt.Errorf("wal: append: %w", err)
-	}
-	rec, err := encodeRecord(epoch, batch)
-	if err != nil {
-		return AppendToken{}, fmt.Errorf("wal: encode record: %w", err)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -324,6 +343,14 @@ func (j *Journal) Append(epoch uint64, batch []bib.Paper) (AppendToken, error) {
 		return AppendToken{}, errors.New("wal: Append before Recover")
 	case j.failed != nil:
 		return AppendToken{}, fmt.Errorf("wal: journal failed: %w", j.failed)
+	}
+	var outcome []int
+	if j.outcome != nil && j.outcomeEpoch+1 == epoch {
+		outcome = j.outcome
+	}
+	rec, err := encodeRecord(epoch, batch, outcome)
+	if err != nil {
+		return AppendToken{}, fmt.Errorf("wal: encode record: %w", err)
 	}
 	if j.f != nil && j.size >= j.cfg.MaxSegmentBytes {
 		if err := j.rollSegmentLocked(); err != nil {
@@ -365,6 +392,22 @@ func (j *Journal) Append(epoch uint64, batch []bib.Paper) (AppendToken, error) {
 	j.bytesAcc += int64(len(rec))
 	j.sinceRot++
 	return AppendToken{gen: j.gen, off: off, papers: int64(len(batch)), bytes: int64(len(rec))}, nil
+}
+
+// RecordOutcome hands over the outcome of the batch journaled for
+// epoch once it has been applied: the vertex of every author slot, in
+// paper then author order. The journal keeps the slice. Nothing is
+// written now — the next record, epoch+1, carries it inside its own
+// checksum and fsync — so an outcome is never durable before the
+// batch after it. An outcome at or below the last Cut is dropped: the
+// base written at that cut holds its batch.
+func (j *Journal) RecordOutcome(epoch uint64, verts []int) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if epoch <= j.key {
+		return
+	}
+	j.outcome, j.outcomeEpoch = verts, epoch
 }
 
 // Rollback withdraws the record written by the matching Append. Only
@@ -418,6 +461,9 @@ func (j *Journal) Cut(epoch uint64) error {
 	}
 	j.key = epoch
 	j.cutBatches = j.sinceRot
+	if j.outcomeEpoch <= epoch {
+		j.outcome = nil
+	}
 	return nil
 }
 
@@ -621,14 +667,19 @@ func (j *Journal) truncateLocked(off int64) {
 }
 
 // encodeRecord frames one batch: [u32 len][u64 fnv64a][payload], the
-// payload being a versioned snapshot stream of (epoch, papers).
-func encodeRecord(epoch uint64, batch []bib.Paper) ([]byte, error) {
+// payload being a versioned snapshot stream of (epoch, papers, the
+// outcome of epoch-1 or nothing).
+func encodeRecord(epoch uint64, batch []bib.Paper, outcome []int) ([]byte, error) {
 	var payload bytes.Buffer
 	sw := snapshot.NewWriter(&payload, recordVersion)
 	sw.Uvarint(epoch)
 	sw.Int(len(batch))
 	for i := range batch {
 		bib.EncodePaperSnapshot(sw, &batch[i])
+	}
+	sw.Uvarint(uint64(len(outcome)))
+	for _, v := range outcome {
+		sw.Uvarint(uint64(v))
 	}
 	if err := sw.Close(); err != nil {
 		return nil, err
@@ -643,28 +694,58 @@ func encodeRecord(epoch uint64, batch []bib.Paper) ([]byte, error) {
 	return rec, nil
 }
 
-func decodeRecordPayload(payload []byte) (uint64, []bib.Paper, error) {
-	sr, err := snapshot.NewReader(bytes.NewReader(payload), recordVersion)
+// decodeRecordPayload decodes one record: its epoch, its batch and the
+// outcome of the batch before it (nil when the record carries none,
+// always for a 2001 record).
+func decodeRecordPayload(payload []byte) (uint64, []bib.Paper, []int, error) {
+	sr, version, err := snapshot.NewVersionedReader(bytes.NewReader(payload))
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
+	}
+	if version != recordVersion && version != recordVersion2001 {
+		return 0, nil, nil, fmt.Errorf("record version %d, this build reads %d and %d", version, recordVersion, recordVersion2001)
 	}
 	epoch := sr.Uvarint()
 	n := sr.Int()
 	if err := sr.Err(); err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
 	if n < 0 || n > len(payload) {
-		return 0, nil, fmt.Errorf("wal: implausible batch size %d", n)
+		return 0, nil, nil, fmt.Errorf("wal: implausible batch size %d", n)
 	}
 	papers := make([]bib.Paper, 0, n)
 	for i := 0; i < n; i++ {
 		p, err := bib.DecodePaperSnapshot(sr)
 		if err != nil {
-			return 0, nil, err
+			return 0, nil, nil, err
 		}
 		papers = append(papers, p)
 	}
-	return epoch, papers, nil
+	if version == recordVersion2001 {
+		return epoch, papers, nil, nil
+	}
+	k := sr.Uvarint()
+	if err := sr.Err(); err != nil {
+		return 0, nil, nil, err
+	}
+	if k > uint64(len(payload)) {
+		return 0, nil, nil, fmt.Errorf("wal: implausible outcome size %d", k)
+	}
+	var outcome []int
+	if k > 0 {
+		outcome = make([]int, k)
+		for i := range outcome {
+			v := sr.Uvarint()
+			if v > math.MaxInt32 {
+				return 0, nil, nil, fmt.Errorf("wal: implausible vertex %d in the outcome", v)
+			}
+			outcome[i] = int(v)
+		}
+	}
+	if err := sr.Err(); err != nil {
+		return 0, nil, nil, err
+	}
+	return epoch, papers, outcome, nil
 }
 
 func fnv64a(b []byte) uint64 {

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -11,6 +13,7 @@ import (
 
 	"iuad/internal/bib"
 	"iuad/internal/faultinject"
+	"iuad/internal/snapshot"
 )
 
 // testBatch builds a small deterministic batch; i varies content so
@@ -614,5 +617,248 @@ func TestParsePolicy(t *testing.T) {
 	}
 	if _, err := ParsePolicy("bogus"); err == nil {
 		t.Fatal("ParsePolicy accepted bogus")
+	}
+}
+
+// testOutcome makes up an outcome for batch: one vertex per slot.
+func testOutcome(i int, batch []bib.Paper) []int {
+	var out []int
+	for _, p := range batch {
+		for range p.Authors {
+			out = append(out, 1000*i+len(out))
+		}
+	}
+	return out
+}
+
+// replayOutcomes recovers dir against baseEpoch and returns the outcome
+// each epoch was handed over with (nil: none), in epoch order.
+func replayOutcomes(t *testing.T, dir string, baseEpoch uint64) ([][]int, *ReplayReport) {
+	t.Helper()
+	j, err := Open(dir, Config{Fsync: SyncOff})
+	if err != nil {
+		t.Fatalf("Open for replay: %v", err)
+	}
+	defer j.Close()
+	var got [][]int
+	rep, err := j.RecoverOutcomes(baseEpoch, func(epoch uint64, batch []bib.Paper, outcome []int) error {
+		if want := baseEpoch + 1 + uint64(len(got)); epoch != want {
+			return fmt.Errorf("apply saw epoch %d, want %d", epoch, want)
+		}
+		got = append(got, outcome)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("RecoverOutcomes: %v", err)
+	}
+	return got, rep
+}
+
+// recovered opens dir and recovers it, ready to append.
+func recovered(t *testing.T, dir string, cfg Config, baseEpoch uint64) *Journal {
+	t.Helper()
+	j, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Recover(baseEpoch, nil); err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
+func mustAppend(t *testing.T, j *Journal, epoch uint64, batch []bib.Paper) AppendToken {
+	t.Helper()
+	tok, err := j.Append(epoch, batch)
+	if err != nil {
+		t.Fatalf("Append %d: %v", epoch, err)
+	}
+	return tok
+}
+
+func sameOutcomes(t *testing.T, got, want [][]int) {
+	t.Helper()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("replayed outcomes %v, want %v", got, want)
+	}
+}
+
+func TestOutcomeTravelsInTheNextRecord(t *testing.T) {
+	dir := t.TempDir()
+	j := recovered(t, dir, Config{Fsync: SyncOff}, 0)
+	var want [][]int
+	for e := uint64(1); e <= 3; e++ {
+		b := testBatch(int(e), 1+int(e)%3)
+		mustAppend(t, j, e, b)
+		o := testOutcome(int(e), b)
+		j.RecordOutcome(e, o)
+		want = append(want, o)
+	}
+	j.Close()
+	want[2] = nil // nothing was journaled after epoch 3
+	got, rep := replayOutcomes(t, dir, 0)
+	sameOutcomes(t, got, want)
+	if rep.Batches != 3 || rep.Decided != 2 {
+		t.Fatalf("replay report %+v, want 3 batches, 2 decided", rep)
+	}
+	// Plain Recover still hands every batch over.
+	if b, _ := replayAll(t, dir, 0); len(b) != 3 {
+		t.Fatalf("Recover replayed %d batches, want 3", len(b))
+	}
+}
+
+func TestOutcomeSurvivesRollback(t *testing.T) {
+	dir := t.TempDir()
+	j := recovered(t, dir, Config{Fsync: SyncPerCommit}, 0)
+	b1 := testBatch(1, 2)
+	mustAppend(t, j, 1, b1)
+	o1 := testOutcome(1, b1)
+	j.RecordOutcome(1, o1)
+	tok := mustAppend(t, j, 2, testBatch(2, 1))
+	if err := j.Rollback(tok); err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, j, 2, testBatch(3, 1)) // the retry carries epoch 1's outcome
+	j.Close()
+	got, _ := replayOutcomes(t, dir, 0)
+	sameOutcomes(t, got, [][]int{o1, nil})
+}
+
+func TestOutcomeAtOrBelowCutDropped(t *testing.T) {
+	dir := t.TempDir()
+	j := recovered(t, dir, Config{Fsync: SyncOff}, 0)
+	b1 := testBatch(1, 1)
+	mustAppend(t, j, 1, b1)
+	j.RecordOutcome(1, testOutcome(1, b1))
+	if err := j.Cut(1); err != nil {
+		t.Fatal(err)
+	}
+	j.RecordOutcome(1, testOutcome(1, b1)) // late: the cut's base holds batch 1
+	b2 := testBatch(2, 2)
+	mustAppend(t, j, 2, b2)
+	o2 := testOutcome(2, b2)
+	j.RecordOutcome(2, o2)
+	mustAppend(t, j, 3, testBatch(3, 1))
+	j.Close()
+	// The base of the cut never landed: replay from the older base.
+	got, rep := replayOutcomes(t, dir, 0)
+	sameOutcomes(t, got, [][]int{nil, o2, nil})
+	if rep.Decided != 1 {
+		t.Fatalf("replay report %+v, want 1 decided", rep)
+	}
+	// Over the cut's base the record of epoch 2 is the first, and the
+	// outcome it would carry is of no use.
+	got, _ = replayOutcomes(t, copyDir(t, dir), 1)
+	sameOutcomes(t, got, [][]int{o2, nil})
+}
+
+// encodeRecord2001 frames a record the way the 2001 build wrote them.
+func encodeRecord2001(t *testing.T, epoch uint64, batch []bib.Paper) []byte {
+	t.Helper()
+	var payload bytes.Buffer
+	sw := snapshot.NewWriter(&payload, recordVersion2001)
+	sw.Uvarint(epoch)
+	sw.Int(len(batch))
+	for i := range batch {
+		bib.EncodePaperSnapshot(sw, &batch[i])
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec := binary.LittleEndian.AppendUint32(nil, uint32(payload.Len()))
+	rec = binary.LittleEndian.AppendUint64(rec, fnv64a(payload.Bytes()))
+	return append(rec, payload.Bytes()...)
+}
+
+func TestVersion2001RecordsReplayWithoutOutcome(t *testing.T) {
+	dir := t.TempDir()
+	seg := make([]byte, segHeaderLen)
+	copy(seg, segMagic)
+	binary.LittleEndian.PutUint64(seg[8:16], segVersion)
+	binary.LittleEndian.PutUint64(seg[24:32], 1) // key 0, generation 1
+	b1, b2 := testBatch(1, 2), testBatch(2, 1)
+	seg = append(seg, encodeRecord2001(t, 1, b1)...)
+	seg = append(seg, encodeRecord2001(t, 2, b2)...)
+	if err := os.WriteFile(filepath.Join(dir, segmentName(0, 1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, rep := replayOutcomes(t, dir, 0)
+	sameOutcomes(t, got, [][]int{nil, nil})
+	if rep.Batches != 2 || rep.Decided != 0 {
+		t.Fatalf("2001 replay report %+v, want 2 batches, none decided", rep)
+	}
+
+	// This build appends after the 2001 chain: its first record carries
+	// the outcome of the last 2001 batch.
+	j := recovered(t, dir, Config{Fsync: SyncOff}, 0)
+	o2 := testOutcome(2, b2)
+	j.RecordOutcome(2, o2)
+	mustAppend(t, j, 3, testBatch(3, 1))
+	j.Close()
+	got, _ = replayOutcomes(t, dir, 0)
+	sameOutcomes(t, got, [][]int{nil, o2, nil})
+}
+
+func TestOutcomeSlotCountMismatchRejected(t *testing.T) {
+	dir := t.TempDir()
+	j := recovered(t, dir, Config{Fsync: SyncOff}, 0)
+	b1 := testBatch(1, 2)
+	mustAppend(t, j, 1, b1)
+	j.RecordOutcome(1, testOutcome(1, b1)[1:])
+	mustAppend(t, j, 2, testBatch(2, 1))
+	j.Close()
+	j2, err := Open(dir, Config{Fsync: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	_, err = j2.RecoverOutcomes(0, func(uint64, []bib.Paper, []int) error { return nil })
+	var ce *CorruptError
+	if !errors.As(err, &ce) || !strings.Contains(ce.Reason, "outcome of epoch 1 has 3 slots, the batch has 4") {
+		t.Fatalf("short outcome: err = %v, want *CorruptError about the slot count", err)
+	}
+}
+
+func TestBadOutcomeIsCorruptionAtTheCarryingRecord(t *testing.T) {
+	dir := t.TempDir()
+	j := recovered(t, dir, Config{Fsync: SyncOff}, 0)
+	b1 := testBatch(1, 1)
+	mustAppend(t, j, 1, b1)
+	j.RecordOutcome(1, testOutcome(1, b1))
+	tok2 := mustAppend(t, j, 2, testBatch(2, 1))
+	j.Close()
+	seg := segmentFiles(t, dir)[0]
+	for _, tc := range []struct {
+		name    string
+		err     error
+		corrupt bool
+	}{
+		{"bad outcome", fmt.Errorf("%w: vertex 7 is someone else", ErrBadOutcome), true},
+		{"other failure", errors.New("disk on fire"), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			j, err := Open(copyDir(t, dir), Config{Fsync: SyncOff})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			_, err = j.RecoverOutcomes(0, func(epoch uint64, _ []bib.Paper, outcome []int) error {
+				if outcome != nil {
+					return tc.err
+				}
+				return nil
+			})
+			var ce *CorruptError
+			if errors.As(err, &ce) != tc.corrupt {
+				t.Fatalf("apply failure %v: err = %v, want a *CorruptError: %v", tc.err, err, tc.corrupt)
+			}
+			if !tc.corrupt && !errors.Is(err, tc.err) {
+				t.Fatalf("apply failure %v: err = %v, want it wrapped", tc.err, err)
+			}
+			if tc.corrupt && (filepath.Base(ce.Path) != filepath.Base(seg) || ce.Offset != tok2.off ||
+				!strings.Contains(ce.Reason, "outcome of epoch 1")) {
+				t.Fatalf("bad outcome reported as %v, want the record at offset %d naming epoch 1", ce, tok2.off)
+			}
+		})
 	}
 }

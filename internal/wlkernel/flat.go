@@ -84,12 +84,12 @@ type Extractor struct {
 func (e *Extractor) SubgraphFlat(g *graph.Graph, center, h int, labelOf func(v int) uint64) []LabelCount {
 	n := g.NumVertices()
 	if len(e.stamp) < n {
-		stamp := make([]uint32, n)
-		copy(stamp, e.stamp)
-		e.stamp = stamp
-		local := make([]int32, n)
-		copy(local, e.localOf)
-		e.localOf = local
+		// Geometric growth: the graph gains vertices on most ingests,
+		// and an exact-size copy would cost O(vertices) each time.
+		e.stamp = slices.Grow(e.stamp, n-len(e.stamp))
+		e.stamp = e.stamp[:cap(e.stamp)]
+		e.localOf = slices.Grow(e.localOf, len(e.stamp)-len(e.localOf))
+		e.localOf = e.localOf[:len(e.stamp)]
 	}
 	e.epoch++
 	if e.epoch == 0 { // stamp wrap: stale marks could alias, reset

@@ -122,10 +122,13 @@ func WithSnapshot(path string) Option {
 // §14): dir holds a base snapshot plus a write-ahead batch journal.
 // Every committed ingest batch is journaled — checksummed and fsynced
 // per the configured policy — BEFORE it lands in memory or is acked,
-// so an acked AddPapers survives kill -9, not just a clean Close.
-// Open loads the newest base snapshot from dir (fitting the corpus
-// only when none exists yet), replays the journal on top of it, and
-// produces assignments bit-identical to a process that never crashed.
+// so an acked AddPapers survives kill -9, not just a clean Close; the
+// next batch's record also carries the vertex each of its slots was
+// assigned to. Open loads the newest base snapshot from dir (fitting
+// the corpus only when none exists yet) and replays the journal on
+// top of it: each batch whose assignments were recorded is applied by
+// them without scoring, the last batch is scored again, and the state
+// is bit-identical to a process that never crashed.
 // When the journal has grown to 1/8 of the base snapshot's bytes a
 // background compaction writes a fresh base — encoded from a pinned
 // epoch beside the commits, not under the write lock — and retires the
@@ -201,6 +204,9 @@ func loadOrFit(corpus *Corpus, path string, o *options) (*core.Pipeline, uint64,
 		}
 	}
 	pl, err := fitCorpus(corpus, o)
+	if errors.Is(err, ErrNoCorpus) && path != "" {
+		err = fmt.Errorf("%w: no snapshot at %s", err, path)
+	}
 	return pl, 0, err
 }
 
@@ -226,8 +232,10 @@ func fitCorpus(corpus *Corpus, o *options) (*core.Pipeline, error) {
 // directory, load the newest base snapshot (or fit the corpus when
 // the directory is fresh), then replay the journaled batches on top —
 // exactly the commits a crashed process acked after its last base.
-// The replay re-runs the same deterministic ingest code, so the
-// recovered assignments are bit-identical to never having crashed.
+// A batch whose outcome the next record carries is registered under
+// those decisions; the rest are scored by the same deterministic
+// ingest code. Either way the recovered assignments are bit-identical
+// to never having crashed.
 func openJournaled(corpus *Corpus, o *options) (*Service, error) {
 	j, err := wal.Open(o.journalDir, o.journal)
 	if err != nil {
@@ -252,31 +260,61 @@ func openJournaled(corpus *Corpus, o *options) (*Service, error) {
 	s.journalBase = base
 	s.compactEvery = o.journal.CompactEvery
 	s.baseBytes.Store(snapshotBytes(base))
-	jrep, err := j.Recover(epoch, s.replayBatch)
+	var last [][]core.Assignment
+	jrep, err := j.RecoverOutcomes(epoch, func(epoch uint64, batch []bib.Paper, outcome []int) (err error) {
+		last, err = s.replayBatch(epoch, batch, outcome)
+		return err
+	})
 	if err != nil {
 		s.q.Close()
 		return nil, fmt.Errorf("iuad: journal recovery: %w", err)
+	}
+	if last != nil {
+		// The last batch was scored; the next commit's record carries
+		// its outcome, so a later recovery does not score it again.
+		j.RecordOutcome(s.pub.CapturedEpoch(), outcomeOf(last))
 	}
 	s.jrec = jrep
 	ok = true
 	return s, nil
 }
 
-// replayBatch applies one journaled batch during recovery through the
-// same serialized ingest + publish path a live commit takes. No lock
-// needed: recovery runs before the service is returned.
-func (s *Service) replayBatch(epoch uint64, batch []bib.Paper) error {
-	res, err := s.pl.AddPapers(context.Background(), batch)
-	if err != nil {
-		return err
-	}
+// replayBatch applies one journaled batch during recovery and publishes
+// it as its epoch, like a live commit. With an outcome the batch is
+// registered under the recorded decisions (core.ApplyOutcome, which
+// validates every vertex); without one it is scored through AddPapers.
+// No lock needed: recovery runs before the service is returned.
+func (s *Service) replayBatch(epoch uint64, batch []bib.Paper, outcome []int) ([][]core.Assignment, error) {
 	if want := s.pub.CapturedEpoch() + 1; epoch != want {
-		return fmt.Errorf("iuad: journal batch publishes epoch %d, service expects %d", epoch, want)
+		return nil, fmt.Errorf("iuad: journal batch publishes epoch %d, service expects %d", epoch, want)
 	}
-	if len(res) > 0 {
-		s.pub.Publish(res)
+	var res [][]core.Assignment
+	var err error
+	if outcome != nil {
+		if res, err = s.pl.ApplyOutcome(batch, outcome); err != nil {
+			return nil, fmt.Errorf("%w: %w", wal.ErrBadOutcome, err)
+		}
+	} else if res, err = s.pl.AddPapers(context.Background(), batch); err != nil {
+		return nil, err
 	}
-	return nil
+	s.pub.Publish(res)
+	return res, nil
+}
+
+// outcomeOf flattens a batch's assignments into the journal's outcome:
+// the vertex of every slot, in paper then author order.
+func outcomeOf(res [][]core.Assignment) []int {
+	n := 0
+	for _, as := range res {
+		n += len(as)
+	}
+	out := make([]int, 0, n)
+	for _, as := range res {
+		for _, a := range as {
+			out = append(out, a.Vertex)
+		}
+	}
+	return out
 }
 
 // NewService wraps an already-fitted pipeline (e.g. one built with
@@ -374,16 +412,23 @@ func (s *Service) commitBatch(batch []bib.Paper) ([][]core.Assignment, error) {
 	// no in-memory mutation to unwind — so a batch is acked only if
 	// its journal record is durable per the configured policy.
 	var tok wal.AppendToken
+	epoch := s.pub.CapturedEpoch() + 1
 	if s.journal != nil {
 		var jerr error
-		tok, jerr = s.journal.Append(s.pub.CapturedEpoch()+1, batch)
+		tok, jerr = s.journal.Append(epoch, batch)
 		if jerr != nil {
 			s.mu.Unlock()
 			return nil, &JournalError{Err: jerr}
 		}
 	}
 	res, err := s.pl.AddPapers(context.Background(), batch)
-	if err != nil && len(res) == 0 && s.journal != nil {
+	switch {
+	case s.journal == nil:
+	case err == nil:
+		// The next record carries these decisions, so recovery applies
+		// them instead of scoring the batch again.
+		s.journal.RecordOutcome(epoch, outcomeOf(res))
+	case len(res) == 0:
 		// Nothing landed in memory: withdraw the record so recovery
 		// cannot replay a batch this process never applied. (With a
 		// committed prefix the record must stay — the prefix is in
@@ -405,7 +450,12 @@ func (s *Service) commitBatch(batch []bib.Paper) ([][]core.Assignment, error) {
 		// written. A failure is counted and the next commit retries.
 		go func() {
 			defer s.compactMu.Unlock()
-			_ = s.compactHeld() // recorded in Compaction()
+			// Ask again under compactMu: a compaction that finished
+			// between the check above and TryLock has already relieved
+			// the pressure this commit saw.
+			if s.compactionDue() {
+				_ = s.compactHeld() // recorded in Compaction()
+			}
 		}()
 	}
 	return res, err

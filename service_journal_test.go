@@ -1,10 +1,12 @@
 package iuad_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -149,8 +151,10 @@ func TestJournalCrashRecoveryEquivalence(t *testing.T) {
 			if tc.compact {
 				wantBatches = batches - 2 // first two are in the base
 			}
-			if rep.Batches != wantBatches || rep.TruncatedTail {
-				t.Fatalf("replay report %+v, want %d batches and no torn tail", rep, wantBatches)
+			// Every batch but the last is applied by the outcome the next
+			// record carries.
+			if rep.Batches != wantBatches || rep.Decided != wantBatches-1 || rep.TruncatedTail {
+				t.Fatalf("replay report %+v, want %d batches (%d decided) and no torn tail", rep, wantBatches, wantBatches-1)
 			}
 			if rec.Epoch() != liveEpoch {
 				t.Fatalf("recovered epoch %d, want %d", rec.Epoch(), liveEpoch)
@@ -667,5 +671,189 @@ func TestJournalUpgrades1001Base(t *testing.T) {
 	defer again.Close()
 	if rep := again.JournalRecovery(); rep == nil || rep.Batches != 0 || again.Epoch() != epoch+1 {
 		t.Fatalf("upgraded reopen at epoch %d replayed %+v, want epoch %d and nothing to replay", again.Epoch(), rep, epoch+1)
+	}
+}
+
+// journal2001Stream is the history testdata/journal2001 holds: a build
+// that wrote version-2001 records (no outcomes) journaled it in six
+// batches of four on serviceDataset(131), with compaction off, so the
+// directory is one segment and no base.
+func journal2001Stream(d *iuad.SyntheticDataset) []iuad.Paper {
+	var out []iuad.Paper
+	s, c := streamProbes(d, "v2001", 12), collabProbes(d, "v2001", 12)
+	for i := range s {
+		out = append(out, s[i], c[i])
+	}
+	return out
+}
+
+// TestJournalDecisionReplayMatchesScoring pins replay by recorded
+// decision. Over one history, decision replay (this build's records),
+// scoring replay (the 2001 records of testdata/journal2001) and a
+// service that never crashed answer every query alike and score the
+// next batch to the bit, for one and four workers. A 2001 directory
+// that took one more commit replays its last 2001 batch by the outcome
+// the new record carries.
+func TestJournalDecisionReplayMatchesScoring(t *testing.T) {
+	d := serviceDataset(131)
+	stream := journal2001Stream(d)
+	const batches, batchSize = 6, 4
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			open := func(jdir string) *iuad.Service {
+				t.Helper()
+				opts := []iuad.Option{iuad.WithConfig(equivCoreConfig(workers))}
+				if jdir != "" {
+					opts = append(opts, iuad.WithJournalConfig(jdir, noCompact))
+				}
+				svc, err := iuad.Open(d.Corpus, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { svc.Close() })
+				return svc
+			}
+			jdir := t.TempDir()
+			live, ref := open(jdir), open("")
+			for b := 0; b < batches; b++ {
+				for _, svc := range []*iuad.Service{live, ref} {
+					if _, err := svc.AddPapers(context.Background(), stream[b*batchSize:(b+1)*batchSize]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			refFP := surfaceFingerprint(t, ref)
+			decided := open(copyJournalDir(t, jdir))
+			scoredDir := copyJournalDir(t, filepath.Join("testdata", "journal2001"))
+			scored := open(scoredDir)
+			for _, tc := range []struct {
+				name    string
+				svc     *iuad.Service
+				decided int
+			}{
+				{"decision replay", decided, batches - 1},
+				{"scoring replay", scored, 0},
+			} {
+				rep := tc.svc.JournalRecovery()
+				if rep.Batches != batches || rep.Decided != tc.decided {
+					t.Fatalf("%s: replay report %+v, want %d batches, %d decided", tc.name, rep, batches, tc.decided)
+				}
+				if tc.svc.Epoch() != ref.Epoch() {
+					t.Fatalf("%s: epoch %d, want %d", tc.name, tc.svc.Epoch(), ref.Epoch())
+				}
+				if surfaceFingerprint(t, tc.svc) != refFP {
+					t.Fatalf("%s: query surface differs from the never-crashed service", tc.name)
+				}
+			}
+
+			post := append(streamProbes(d, "after-replay", 3), collabProbes(d, "after-replay", 3)...)
+			want, err := ref.AddPapers(context.Background(), post)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, svc := range map[string]*iuad.Service{"live": live, "decision replay": decided, "scoring replay": scored} {
+				got, err := svc.AddPapers(context.Background(), post)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameAssignments(t, name+", next batch", want, got)
+			}
+
+			// The 2001 directory now ends in a record of this build,
+			// carrying the outcome of the batch recovery scored.
+			again := open(copyJournalDir(t, scoredDir))
+			if rep := again.JournalRecovery(); rep.Batches != batches+1 || rep.Decided != 1 {
+				t.Fatalf("2001 directory after one more commit: replay report %+v, want %d batches, 1 decided", rep, batches+1)
+			}
+			if surfaceFingerprint(t, again) != surfaceFingerprint(t, ref) {
+				t.Fatal("2001 directory after one more commit: query surface differs from the never-crashed service")
+			}
+		})
+	}
+}
+
+// TestJournalBadOutcomeFailsOpen: a recorded vertex must be an existing
+// vertex carrying the slot's name or exactly the next free ID. Anything
+// else is a corrupt journal — Open refuses with the typed error at the
+// record that carried the outcome, naming the batch's epoch, and never
+// falls back to scoring.
+func TestJournalBadOutcomeFailsOpen(t *testing.T) {
+	d := serviceDataset(137)
+	jdir := t.TempDir()
+	svc, err := iuad.Open(d.Corpus,
+		iuad.WithConfig(equivCoreConfig(1)), iuad.WithJournalConfig(jdir, noCompact))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	// Batch 1 is one slot with a name no vertex carries: its outcome is
+	// the vertex it creates. Record 2 carries that outcome.
+	res, err := svc.AddPapers(context.Background(), []iuad.Paper{{Title: "outcome probe", Authors: []string{"Outcome Probe Nobody"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	created := res[0][0].Vertex
+	if !res[0][0].Created || created == 0 {
+		t.Fatalf("probe slot assigned %+v, want a created vertex", res[0][0])
+	}
+	if _, err := svc.AddPapers(context.Background(), streamProbes(d, "outcome", 2)); err != nil {
+		t.Fatal(err)
+	}
+
+	crash := copyJournalDir(t, jdir)
+	segs := journalSegments(t, crash)
+	if len(segs) != 1 {
+		t.Fatalf("segments %v, want exactly 1", segs)
+	}
+	b, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Record 2 is the last one; its payload ends with the outcome of
+	// batch 1: a slot count of 1, then the vertex.
+	off2 := 32 + 12 + int(binary.LittleEndian.Uint32(b[32:36]))
+	payload := b[off2+12:]
+	if int(binary.LittleEndian.Uint32(b[off2:off2+4])) != len(payload) {
+		t.Fatalf("record 2 at %d is not the last record of the segment", off2)
+	}
+	outcome := func(v int) []byte { return binary.AppendUvarint(binary.AppendUvarint(nil, 1), uint64(v)) }
+	if !bytes.HasSuffix(payload, outcome(created)) {
+		t.Fatalf("record 2 does not end with batch 1's outcome (vertex %d)", created)
+	}
+	head := payload[:len(payload)-len(outcome(created))]
+
+	for _, tc := range []struct {
+		name   string
+		vertex int
+	}{
+		{"out of range", created + 1},
+		{"wrong name", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := append(append([]byte(nil), head...), outcome(tc.vertex)...)
+			h := fnv.New64a()
+			h.Write(p)
+			rec := binary.LittleEndian.AppendUint32(nil, uint32(len(p)))
+			rec = binary.LittleEndian.AppendUint64(rec, h.Sum64())
+			bad := append(append(append([]byte(nil), b[:off2]...), rec...), p...)
+			dir := t.TempDir()
+			seg := filepath.Join(dir, filepath.Base(segs[0]))
+			if err := os.WriteFile(seg, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rec2, err := iuad.Open(d.Corpus,
+				iuad.WithConfig(equivCoreConfig(1)), iuad.WithJournalConfig(dir, noCompact))
+			if err == nil {
+				rec2.Close()
+				t.Fatalf("open over an outcome naming vertex %d succeeded", tc.vertex)
+			}
+			var ce *iuad.JournalCorruptError
+			if !errors.As(err, &ce) || ce.Path != seg || ce.Offset != int64(off2) {
+				t.Fatalf("open = %v, want *iuad.JournalCorruptError at %s offset %d", err, seg, off2)
+			}
+			if !strings.Contains(err.Error(), "outcome of epoch 1") {
+				t.Fatalf("error %q does not name the batch's epoch", err)
+			}
+		})
 	}
 }

@@ -27,6 +27,21 @@ func TestOpenTypedErrors(t *testing.T) {
 	if _, err := iuad.Open(nil); !errors.Is(err, iuad.ErrNoCorpus) {
 		t.Fatalf("Open(nil) = %v, want ErrNoCorpus", err)
 	}
+	// With no corpus and no file where the snapshot should be, the
+	// error names the path that was looked at.
+	missing := filepath.Join(t.TempDir(), "missing.snap")
+	freshJournal := t.TempDir()
+	for _, tc := range []struct {
+		opt  iuad.Option
+		path string
+	}{
+		{iuad.WithSnapshot(missing), missing},
+		{iuad.WithJournal(freshJournal), iuad.JournalBasePath(freshJournal)},
+	} {
+		if _, err := iuad.Open(nil, tc.opt); !errors.Is(err, iuad.ErrNoCorpus) || !strings.Contains(err.Error(), tc.path) {
+			t.Fatalf("Open(nil) with no snapshot at %s = %v, want ErrNoCorpus naming the path", tc.path, err)
+		}
+	}
 	unfrozen := iuad.NewCorpus(0)
 	unfrozen.MustAdd(iuad.Paper{Title: "t", Authors: []string{"A B"}})
 	if _, err := iuad.Open(unfrozen); !errors.Is(err, iuad.ErrNotFrozen) {
