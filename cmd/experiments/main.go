@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -37,15 +38,10 @@ func main() {
 	)
 	flag.Parse()
 
-	want := map[string]bool{}
-	if *run == "all" {
-		for _, r := range runners {
-			want[r] = true
-		}
-	} else {
-		for _, r := range strings.Split(*run, ",") {
-			want[strings.TrimSpace(r)] = true
-		}
+	want, err := parseRun(*run)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(2)
 	}
 
 	var opts experiments.Options
@@ -138,6 +134,26 @@ func main() {
 			fmt.Println()
 		}
 	}
+}
+
+// parseRun parses the -run list: experiment ids, "all" for every id of
+// runners, and "accuracy". An unknown or empty id is an error naming the
+// valid ones, before anything is built.
+func parseRun(list string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, r := range strings.Split(list, ",") {
+		switch r = strings.TrimSpace(r); {
+		case r == "all":
+			for _, id := range runners {
+				want[id] = true
+			}
+		case r == "accuracy" || slices.Contains(runners, r):
+			want[r] = true
+		default:
+			return nil, fmt.Errorf("unknown -run id %q; valid ids: all, accuracy, %s", r, strings.Join(runners, ", "))
+		}
+	}
+	return want, nil
 }
 
 // runAccuracy runs the labeled accuracy scenario (internal/accuracy,

@@ -5,6 +5,7 @@ import (
 
 	"iuad/internal/core"
 	"iuad/internal/ingestq"
+	"iuad/internal/snapshot"
 	"iuad/internal/wal"
 )
 
@@ -110,6 +111,13 @@ type JournalCorruptError = wal.CorruptError
 // loaded (checksum, truncation, trailing bytes, unknown version). Open
 // leaves the file at Path untouched and never refits over it.
 type SnapshotError = core.SnapshotError
+
+// VersionError reports a base snapshot or journal record in a format
+// version this build does not read. For a retired version, LastBuild
+// names the last build that reads it: open the file or directory once
+// with that build and Close it to upgrade (DESIGN.md §6). Open leaves
+// the files untouched. Match with errors.As.
+type VersionError = snapshot.VersionError
 
 // ErrJournalLocked reports that another process holds the journal
 // directory (see WithJournal).

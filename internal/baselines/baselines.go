@@ -56,22 +56,6 @@ func buildEgoNetwork(corpus *bib.Corpus, target string, papers []bib.PaperID) *e
 	return e
 }
 
-// coauthorsOf lists the ego-vertex IDs of a paper's co-authors.
-func (e *egoNetwork) coauthorsOf(corpus *bib.Corpus, target string, pid bib.PaperID, paperIdx int) []int {
-	p := corpus.Paper(pid)
-	var out []int
-	for _, a := range p.Authors {
-		if a == target {
-			continue
-		}
-		if cv, ok := e.coauthor[a]; ok {
-			out = append(out, cv)
-		}
-	}
-	_ = paperIdx
-	return out
-}
-
 // singletons returns the all-singleton labeling (used for degenerate
 // inputs).
 func singletons(n int) []int {

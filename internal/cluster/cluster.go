@@ -1,11 +1,11 @@
 // Package cluster implements the clustering algorithms the baseline
 // disambiguators rely on: hierarchical agglomerative clustering (ANON
-// [22], Aminer [33]), DBSCAN and a simplified HDBSCAN (NetE [23]), and
+// [22], Aminer [33]), a simplified HDBSCAN (NetE [23]), and
 // affinity propagation (NetE, GHOST [27]).
 //
 // All algorithms operate on an abstract pairwise distance (or similarity)
 // function over item indexes 0..n-1 and return flat integer labels.
-// Noise points (DBSCAN/HDBSCAN) receive their own singleton labels, since
+// HDBSCAN noise points receive their own singleton labels, since
 // author disambiguation must assign every paper to somebody.
 //
 // HDBSCAN here is the standard "mutual-reachability single-linkage MST"
@@ -153,66 +153,6 @@ func HAC(n int, dist DistFunc, linkage Linkage, threshold float64, workers ...in
 			labels[x] = next
 		}
 		next++
-	}
-	return labels
-}
-
-// DBSCAN clusters n items with radius eps and density threshold minPts
-// (including the point itself). Noise points get singleton labels after
-// the dense clusters are formed.
-func DBSCAN(n int, dist DistFunc, eps float64, minPts int) []int {
-	const (
-		unvisited = -2
-		noise     = -1
-	)
-	labels := make([]int, n)
-	for i := range labels {
-		labels[i] = unvisited
-	}
-	neighbors := func(p int) []int {
-		var out []int
-		for q := 0; q < n; q++ {
-			if q != p && dist(p, q) <= eps {
-				out = append(out, q)
-			}
-		}
-		return out
-	}
-	cluster := 0
-	for p := 0; p < n; p++ {
-		if labels[p] != unvisited {
-			continue
-		}
-		nbs := neighbors(p)
-		if len(nbs)+1 < minPts {
-			labels[p] = noise
-			continue
-		}
-		labels[p] = cluster
-		queue := append([]int(nil), nbs...)
-		for len(queue) > 0 {
-			q := queue[0]
-			queue = queue[1:]
-			if labels[q] == noise {
-				labels[q] = cluster // border point
-			}
-			if labels[q] != unvisited {
-				continue
-			}
-			labels[q] = cluster
-			qn := neighbors(q)
-			if len(qn)+1 >= minPts {
-				queue = append(queue, qn...)
-			}
-		}
-		cluster++
-	}
-	// Promote noise to singletons.
-	for i := range labels {
-		if labels[i] == noise {
-			labels[i] = cluster
-			cluster++
-		}
 	}
 	return labels
 }

@@ -108,44 +108,6 @@ func countLabels(labels []int) int {
 	return len(set)
 }
 
-func TestDBSCANBlobsAndNoise(t *testing.T) {
-	pts := []float64{0, 0.1, 0.2, 5, 5.1, 5.2, 100}
-	dist := func(i, j int) float64 { return math.Abs(pts[i] - pts[j]) }
-	labels := DBSCAN(len(pts), dist, 0.5, 2)
-	if labels[0] != labels[1] || labels[1] != labels[2] {
-		t.Fatalf("first blob split: %v", labels)
-	}
-	if labels[3] != labels[4] || labels[4] != labels[5] {
-		t.Fatalf("second blob split: %v", labels)
-	}
-	if labels[0] == labels[3] {
-		t.Fatalf("blobs merged: %v", labels)
-	}
-	// The outlier is a singleton with its own label.
-	if labels[6] == labels[0] || labels[6] == labels[3] {
-		t.Fatalf("outlier absorbed: %v", labels)
-	}
-}
-
-func TestDBSCANAllNoise(t *testing.T) {
-	pts := []float64{0, 10, 20}
-	dist := func(i, j int) float64 { return math.Abs(pts[i] - pts[j]) }
-	labels := DBSCAN(3, dist, 1, 2)
-	if countLabels(labels) != 3 {
-		t.Fatalf("all-noise labels=%v", labels)
-	}
-}
-
-func TestDBSCANBorderPoint(t *testing.T) {
-	// 0 and 0.4 are core-ish; 0.8 is border (within eps of 0.4 only).
-	pts := []float64{0, 0.4, 0.8}
-	dist := func(i, j int) float64 { return math.Abs(pts[i] - pts[j]) }
-	labels := DBSCAN(3, dist, 0.5, 2)
-	if labels[0] != labels[1] || labels[1] != labels[2] {
-		t.Fatalf("border point not attached: %v", labels)
-	}
-}
-
 func TestHDBSCANSeparatesBlobs(t *testing.T) {
 	_, dist := blobs(6, 3, 4)
 	labels := HDBSCAN(18, dist, HDBSCANConfig{MinPts: 3, MinClusterSize: 3})

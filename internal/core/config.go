@@ -3,7 +3,7 @@
 // reconstructs the collaboration network bottom-up.
 //
 // Stage 1 (§IV) mines η-stable collaborative relations (η-SCRs) from the
-// co-author lists with FP-growth and assembles the Stable Collaboration
+// co-author lists by counting 2-itemsets and assembles the Stable Collaboration
 // Network (SCN), attaching each new stable pair to existing vertices only
 // when a stable triangle supports the attachment. Every paper-author slot
 // not covered by a stable relation starts as its own isolated vertex —

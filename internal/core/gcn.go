@@ -897,14 +897,6 @@ func (pl *Pipeline) PaperByID(id bib.PaperID) *bib.Paper {
 	return &pl.extra[int(id)-pl.Corpus.Len()]
 }
 
-// WordFrequency reports corpus-level word frequency; the incremental
-// stream is small relative to the corpus, so corpus-level frequencies
-// remain the reference (documented approximation).
-func (pl *Pipeline) WordFrequency(w string) int { return pl.Corpus.WordFrequency(w) }
-
-// VenueFrequency reports corpus-level venue frequency.
-func (pl *Pipeline) VenueFrequency(v string) int { return pl.Corpus.VenueFrequency(v) }
-
 // paperSource implementation: columnar resolution over the corpus plus
 // the incremental stream.
 
@@ -930,6 +922,8 @@ func (pl *Pipeline) yearOf(id bib.PaperID) int {
 }
 
 // wordFreqID and venueFreqID answer against the frozen corpus: symbols
-// interned by the stream have zero corpus frequency by construction.
+// interned by the stream have zero corpus frequency by construction. The
+// stream is small relative to the corpus, so corpus-level frequencies
+// remain the reference (documented approximation).
 func (pl *Pipeline) wordFreqID(id intern.ID) int  { return pl.Corpus.WordFrequencyID(id) }
 func (pl *Pipeline) venueFreqID(id intern.ID) int { return pl.Corpus.VenueFrequencyID(id) }

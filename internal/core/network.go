@@ -233,20 +233,6 @@ func (n *Network) Validate() error {
 	return nil
 }
 
-// SlotsOfPaper enumerates the slots of paper p.
-func SlotsOfPaper(p *bib.Paper) []Slot {
-	out := make([]Slot, len(p.Authors))
-	for i := range p.Authors {
-		out[i] = Slot{Paper: p.ID, Index: i}
-	}
-	return out
-}
-
-// sortedVertexPapers returns a defensive sorted copy (test helper).
-func sortedVertexPapers(v *Vertex) []bib.PaperID {
-	return sortedPaperIDs(v.Papers)
-}
-
 func sortedPaperIDs(ids []bib.PaperID) []bib.PaperID {
 	out := append([]bib.PaperID(nil), ids...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

@@ -133,15 +133,6 @@ func TestContractDropsInternalEdges(t *testing.T) {
 	}
 }
 
-func TestSlotsOfPaper(t *testing.T) {
-	p := &bib.Paper{ID: 7, Authors: []string{"A", "B", "C"}}
-	slots := SlotsOfPaper(p)
-	want := []Slot{{7, 0}, {7, 1}, {7, 2}}
-	if !reflect.DeepEqual(slots, want) {
-		t.Fatalf("slots=%v", slots)
-	}
-}
-
 func TestUnionFindGrowAndDeterminism(t *testing.T) {
 	uf := newUnionFind(2)
 	uf.grow(5)

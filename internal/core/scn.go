@@ -43,7 +43,7 @@ func cmpNamePair(a, b namePair) int {
 // construct the stable collaboration network.
 //
 // Mining counts 2-itemsets directly over the interned author-ID columns
-// (the FP-growth specialization of package fpgrowth, minus the string
+// (package fpgrowth's FrequentPairs over IDs, minus the string
 // hashing: co-author lists are duplicate-free by Paper.Validate, so
 // plain pair counting over int32 IDs is exact).
 //

@@ -33,7 +33,7 @@ func fig2Corpus(t *testing.T) *bib.Corpus {
 // papersOf renders a vertex's paper set as ints for comparison.
 func papersOf(v *Vertex) []int {
 	out := make([]int, len(v.Papers))
-	for i, p := range sortedVertexPapers(v) {
+	for i, p := range sortedPaperIDs(v.Papers) {
 		out[i] = int(p)
 	}
 	return out

@@ -585,31 +585,6 @@ func minYearDiff32(a, b []int32) int {
 	return int(best)
 }
 
-// minYearDiff is the []int variant of minYearDiff32, kept for direct
-// unit-testing of the two-pointer scan.
-func minYearDiff(a, b []int) int {
-	i, j := 0, 0
-	best := math.MaxInt32
-	for i < len(a) && j < len(b) {
-		d := a[i] - b[j]
-		if d < 0 {
-			d = -d
-		}
-		if d < best {
-			best = d
-		}
-		if best == 0 {
-			return 0
-		}
-		if a[i] < b[j] {
-			i++
-		} else {
-			j++
-		}
-	}
-	return best
-}
-
 // venueCountOf returns the multiplicity of venue id in p's venue multiset
 // (0 when absent), by binary search over the symbol-sorted venue runs.
 func (sc *similarityComputer) venueCountOf(p *profile, id intern.ID) int32 {

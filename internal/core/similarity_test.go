@@ -141,17 +141,17 @@ func TestTauUsesSmallerPaperCount(t *testing.T) {
 
 func TestMinYearDiff(t *testing.T) {
 	cases := []struct {
-		a, b []int
+		a, b []int32
 		want int
 	}{
-		{[]int{2000, 2005}, []int{2007}, 2},
-		{[]int{2000}, []int{2000}, 0},
-		{[]int{1990, 2000}, []int{1994, 1996}, 4},
-		{[]int{2010}, []int{2000, 2009, 2020}, 1},
+		{[]int32{2000, 2005}, []int32{2007}, 2},
+		{[]int32{2000}, []int32{2000}, 0},
+		{[]int32{1990, 2000}, []int32{1994, 1996}, 4},
+		{[]int32{2010}, []int32{2000, 2009, 2020}, 1},
 	}
 	for _, tc := range cases {
-		if got := minYearDiff(tc.a, tc.b); got != tc.want {
-			t.Fatalf("minYearDiff(%v,%v)=%d, want %d", tc.a, tc.b, got, tc.want)
+		if got := minYearDiff32(tc.a, tc.b); got != tc.want {
+			t.Fatalf("minYearDiff32(%v,%v)=%d, want %d", tc.a, tc.b, got, tc.want)
 		}
 	}
 }

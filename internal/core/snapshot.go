@@ -21,15 +21,15 @@ import (
 
 // The base snapshot is the one persisted format: magic, BaseVersion,
 // the serving epoch, the pipeline body, then a CRC-32C of every byte
-// before it. Bump BaseVersion on ANY layout change in this file or the
-// EncodeSnapshot methods it calls; never reuse a retired version (1, the
-// pipeline snapshot; 1002/1003, the sharded composite). 1001 is the
-// base without the trailer: it is read so existing files open, and the
-// next Close or compaction rewrites it; nothing writes it.
+// before it. It is the one version written and read. Bump BaseVersion on
+// ANY layout change in this file or the EncodeSnapshot methods it calls,
+// and never reuse a retired version: 1 (the pipeline snapshot), 1001
+// (the base without the trailer) and 1002/1003 (the sharded composite)
+// are refused with a *snapshot.VersionError naming the last build that
+// reads them (DESIGN.md §6).
 const (
-	BaseVersion     = 1004
-	baseVersion1001 = 1001
-	crcLen          = 4
+	BaseVersion = 1004
+	crcLen      = 4
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -169,36 +169,28 @@ func LoadServiceSnapshot(path string) (*Pipeline, uint64, error) {
 // compares it with the trailer before decoding anything, so a damaged
 // base is refused at the cost of a read and no count in it sizes an
 // allocation. The decode then reads the file again; neither pass holds
-// a copy of it. Version 1001 has no trailer and is decoded unchecked.
+// a copy of it.
 func readBase(f *os.File) (*Pipeline, uint64, error) {
 	fi, err := f.Stat()
 	if err != nil {
 		return nil, 0, err
 	}
-	version, err := snapshot.ReadHeader(f)
-	if err != nil {
+	if _, err := snapshot.NewReader(f, BaseVersion); err != nil {
 		return nil, 0, err
 	}
-	body := fi.Size()
-	switch version {
-	case BaseVersion:
-		body -= crcLen
-		crc := crc32.New(castagnoli)
-		if _, err := io.Copy(crc, io.NewSectionReader(f, 0, body)); err != nil {
-			return nil, 0, err
-		}
-		var trailer [crcLen]byte
-		if _, err := f.ReadAt(trailer[:], body); err != nil {
-			return nil, 0, fmt.Errorf("CRC-32C trailer: %w", err)
-		}
-		if got, want := crc.Sum32(), binary.LittleEndian.Uint32(trailer[:]); got != want {
-			return nil, 0, fmt.Errorf("CRC-32C of %d bytes is %08x, the trailer says %08x", body, got, want)
-		}
-	case baseVersion1001:
-	default:
-		return nil, 0, fmt.Errorf("snapshot version %d, this build reads %d (and %d, to upgrade it)", version, BaseVersion, baseVersion1001)
+	body := fi.Size() - crcLen
+	crc := crc32.New(castagnoli)
+	if _, err := io.Copy(crc, io.NewSectionReader(f, 0, body)); err != nil {
+		return nil, 0, err
 	}
-	sr, err := snapshot.NewReader(io.NewSectionReader(f, 0, body), version)
+	var trailer [crcLen]byte
+	if _, err := f.ReadAt(trailer[:], body); err != nil {
+		return nil, 0, fmt.Errorf("CRC-32C trailer: %w", err)
+	}
+	if got, want := crc.Sum32(), binary.LittleEndian.Uint32(trailer[:]); got != want {
+		return nil, 0, fmt.Errorf("CRC-32C of %d bytes is %08x, the trailer says %08x", body, got, want)
+	}
+	sr, err := snapshot.NewReader(io.NewSectionReader(f, 0, body), BaseVersion)
 	if err != nil {
 		return nil, 0, err
 	}

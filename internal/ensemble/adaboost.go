@@ -9,9 +9,6 @@ type AdaConfig struct {
 	StumpDepth int
 }
 
-// DefaultAdaConfig returns classic stump-based AdaBoost.
-func DefaultAdaConfig() AdaConfig { return AdaConfig{Rounds: 80, StumpDepth: 1} }
-
 // AdaBoost is the discrete AdaBoost ensemble (Freund & Schapire 1997).
 type AdaBoost struct {
 	stumps []*Tree

@@ -68,18 +68,18 @@ func TestTreeRespectsWeights(t *testing.T) {
 	// Same point set; weights flip which class dominates a region.
 	x := [][]float64{{0}, {0}, {0}, {1}}
 	y := []bool{true, false, false, true}
-	heavyTrue := TrainTree(x, y, []float64{10, 1, 1, 1}, DefaultTreeConfig())
+	heavyTrue := TrainTree(x, y, []float64{10, 1, 1, 1}, TreeConfig{MaxDepth: 6, MinsamplesSplit: 4})
 	if !Predict(heavyTrue, []float64{0}) {
 		t.Fatal("weighted-true sample ignored")
 	}
-	heavyFalse := TrainTree(x, y, []float64{1, 10, 10, 1}, DefaultTreeConfig())
+	heavyFalse := TrainTree(x, y, []float64{1, 10, 10, 1}, TreeConfig{MaxDepth: 6, MinsamplesSplit: 4})
 	if Predict(heavyFalse, []float64{0}) {
 		t.Fatal("weighted-false samples ignored")
 	}
 }
 
 func TestTreeEmptyTraining(t *testing.T) {
-	tree := TrainTree(nil, nil, nil, DefaultTreeConfig())
+	tree := TrainTree(nil, nil, nil, TreeConfig{MaxDepth: 6, MinsamplesSplit: 4})
 	if p := tree.PredictProb([]float64{1, 2}); p != 0.5 {
 		t.Fatalf("empty-tree prob=%v", p)
 	}
@@ -117,7 +117,7 @@ func TestAdaBoostLearnsXOR(t *testing.T) {
 
 func TestAdaBoostDiagonal(t *testing.T) {
 	x, y := diagonalData(600, 0.05, 10)
-	ab := TrainAdaBoost(x, y, DefaultAdaConfig())
+	ab := TrainAdaBoost(x, y, AdaConfig{Rounds: 80, StumpDepth: 1})
 	tx, ty := diagonalData(300, 0, 11)
 	if acc := accuracy(ab, tx, ty); acc < 0.88 {
 		t.Fatalf("adaboost stumps accuracy=%.3f, want ≥0.88", acc)
@@ -165,7 +165,7 @@ func TestAdaBoostPerfectLearnerStops(t *testing.T) {
 	// Trivially separable data: the first stump is perfect.
 	x := [][]float64{{0}, {0.1}, {0.9}, {1}}
 	y := []bool{false, false, true, true}
-	ab := TrainAdaBoost(x, y, DefaultAdaConfig())
+	ab := TrainAdaBoost(x, y, AdaConfig{Rounds: 80, StumpDepth: 1})
 	if len(ab.stumps) != 1 {
 		t.Fatalf("stumps=%d, want 1 (perfect learner early-stop)", len(ab.stumps))
 	}

@@ -32,11 +32,6 @@ type TreeConfig struct {
 	Seed          int64
 }
 
-// DefaultTreeConfig returns a moderately regularized tree.
-func DefaultTreeConfig() TreeConfig {
-	return TreeConfig{MaxDepth: 6, MinsamplesSplit: 4}
-}
-
 // node is one tree node; leaves carry the positive-class probability.
 type node struct {
 	feature  int

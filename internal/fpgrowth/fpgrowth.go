@@ -1,29 +1,14 @@
-// Package fpgrowth implements the FP-growth frequent-itemset miner of Han
-// et al. (SIGMOD 2000), which the paper uses (§IV-C, Step I) to find all
-// η-stable collaborative relations — name pairs co-occurring at least η
-// times across co-author lists.
-//
-// Two entry points are provided:
-//
-//   - Mine: the general FP-growth algorithm (FP-tree + conditional
-//     pattern bases) returning all frequent itemsets of any length.
-//   - FrequentPairs: a specialized direct counter for 2-itemsets, the
-//     only pattern length stage 1 of IUAD consumes. It is considerably
-//     faster and allocates no tree.
-//
-// Both operate on string items; Mine interns items internally.
+// Package fpgrowth counts the η-stable collaborative relations of the
+// paper (§IV-C, Step I): name pairs co-occurring at least η times
+// across co-author lists. The paper mines them with FP-growth (Han et
+// al., SIGMOD 2000); stage 1 of IUAD only consumes 2-itemsets, so
+// FrequentPairs counts those directly and builds no tree.
+// PairFrequencies is the full histogram behind Fig. 3(b).
 package fpgrowth
 
 import (
 	"sort"
 )
-
-// Itemset is a frequent itemset with its absolute support count. Items
-// are sorted lexicographically.
-type Itemset struct {
-	Items   []string
-	Support int
-}
 
 // Pair is an unordered item pair with A < B lexicographically.
 type Pair struct {
@@ -82,178 +67,4 @@ func dedup(tx []string) []string {
 		}
 	}
 	return out[:w]
-}
-
-// fpNode is a node of the FP-tree.
-type fpNode struct {
-	item     int32 // interned item ID; -1 at the root
-	count    int
-	parent   *fpNode
-	children map[int32]*fpNode
-	next     *fpNode // header-table chain
-}
-
-// fpTree bundles the root with its header table.
-type fpTree struct {
-	root   *fpNode
-	heads  map[int32]*fpNode // item -> first node in chain
-	counts map[int32]int     // item -> total support in this tree
-}
-
-func newFPTree() *fpTree {
-	return &fpTree{
-		root:   &fpNode{item: -1, children: make(map[int32]*fpNode)},
-		heads:  make(map[int32]*fpNode),
-		counts: make(map[int32]int),
-	}
-}
-
-// insert adds one (ordered) transaction with multiplicity count.
-func (t *fpTree) insert(items []int32, count int) {
-	cur := t.root
-	for _, it := range items {
-		child := cur.children[it]
-		if child == nil {
-			child = &fpNode{item: it, parent: cur, children: make(map[int32]*fpNode)}
-			cur.children[it] = child
-			child.next = t.heads[it]
-			t.heads[it] = child
-		}
-		child.count += count
-		t.counts[it] += count
-		cur = child
-	}
-}
-
-// Mine runs FP-growth and returns every itemset with support ≥ minSupport
-// and size ≥ minLen (minLen ≥ 1). Results are in no particular order.
-//
-// maxLen > 0 truncates pattern growth (e.g. maxLen=2 mines exactly the
-// η-SCR candidates); 0 means unbounded.
-func Mine(transactions [][]string, minSupport, minLen, maxLen int) []Itemset {
-	if minSupport < 1 {
-		minSupport = 1
-	}
-	if minLen < 1 {
-		minLen = 1
-	}
-
-	// Pass 1: global item supports, with interning.
-	intern := make(map[string]int32)
-	var names []string
-	id := func(s string) int32 {
-		if v, ok := intern[s]; ok {
-			return v
-		}
-		v := int32(len(names))
-		intern[s] = v
-		names = append(names, s)
-		return v
-	}
-	support := make(map[int32]int)
-	encoded := make([][]int32, 0, len(transactions))
-	for _, tx := range transactions {
-		items := dedup(tx)
-		enc := make([]int32, 0, len(items))
-		for _, s := range items {
-			v := id(s)
-			support[v]++
-			enc = append(enc, v)
-		}
-		encoded = append(encoded, enc)
-	}
-
-	// Pass 2: build the FP-tree with infrequent items dropped and items
-	// ordered by descending global support (ties by ID for determinism).
-	less := func(a, b int32) bool {
-		if support[a] != support[b] {
-			return support[a] > support[b]
-		}
-		return a < b
-	}
-	tree := newFPTree()
-	for _, enc := range encoded {
-		kept := enc[:0]
-		for _, v := range enc {
-			if support[v] >= minSupport {
-				kept = append(kept, v)
-			}
-		}
-		sort.Slice(kept, func(i, j int) bool { return less(kept[i], kept[j]) })
-		if len(kept) > 0 {
-			tree.insert(kept, 1)
-		}
-	}
-
-	var out []Itemset
-	var suffix []int32
-	var grow func(t *fpTree)
-	grow = func(t *fpTree) {
-		// Items of this conditional tree, in ascending support order so
-		// the recursion peels the least frequent first (classic order).
-		items := make([]int32, 0, len(t.counts))
-		for it, c := range t.counts {
-			if c >= minSupport {
-				items = append(items, it)
-			}
-		}
-		sort.Slice(items, func(i, j int) bool { return !less(items[i], items[j]) })
-
-		for _, it := range items {
-			suffix = append(suffix, it)
-			if len(suffix) >= minLen {
-				set := make([]string, len(suffix))
-				for i, v := range suffix {
-					set[i] = names[v]
-				}
-				sort.Strings(set)
-				out = append(out, Itemset{Items: set, Support: t.counts[it]})
-			}
-			if maxLen == 0 || len(suffix) < maxLen {
-				// Build the conditional tree for this item.
-				cond := newFPTree()
-				for node := t.heads[it]; node != nil; node = node.next {
-					var path []int32
-					for p := node.parent; p != nil && p.item != -1; p = p.parent {
-						path = append(path, p.item)
-					}
-					// path is leaf→root; reverse to root→leaf.
-					for l, r := 0, len(path)-1; l < r; l, r = l+1, r-1 {
-						path[l], path[r] = path[r], path[l]
-					}
-					if len(path) > 0 {
-						cond.insert(path, node.count)
-					}
-				}
-				// Prune infrequent items from the conditional tree counts;
-				// insert kept them all, so filter in grow via counts check.
-				if len(cond.counts) > 0 {
-					grow(cond)
-				}
-			}
-			suffix = suffix[:len(suffix)-1]
-		}
-	}
-	grow(tree)
-	return out
-}
-
-// SortItemsets orders itemsets by descending support, then by items, for
-// deterministic output in reports and tests.
-func SortItemsets(sets []Itemset) {
-	sort.Slice(sets, func(i, j int) bool {
-		if sets[i].Support != sets[j].Support {
-			return sets[i].Support > sets[j].Support
-		}
-		a, b := sets[i].Items, sets[j].Items
-		if len(a) != len(b) {
-			return len(a) < len(b)
-		}
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
 }

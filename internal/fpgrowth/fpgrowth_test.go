@@ -1,11 +1,10 @@
 package fpgrowth
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -54,60 +53,13 @@ func TestMakePairOrders(t *testing.T) {
 	}
 }
 
-func TestMineSingletons(t *testing.T) {
-	sets := Mine(paperExample, 4, 1, 1)
-	got := map[string]int{}
-	for _, s := range sets {
-		got[strings.Join(s.Items, ",")] = s.Support
-	}
-	want := map[string]int{"a": 4, "b": 7, "c": 4}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("singletons=%v, want %v", got, want)
-	}
-}
-
-func TestMinePairsMatchFrequentPairs(t *testing.T) {
-	for _, minSup := range []int{1, 2, 3, 4} {
-		sets := Mine(paperExample, minSup, 2, 2)
-		got := map[Pair]int{}
-		for _, s := range sets {
-			if len(s.Items) != 2 {
-				t.Fatalf("maxLen=2 returned %v", s.Items)
-			}
-			got[MakePair(s.Items[0], s.Items[1])] = s.Support
-		}
-		want := FrequentPairs(paperExample, minSup)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("minSup=%d: Mine=%v, FrequentPairs=%v", minSup, got, want)
-		}
-	}
-}
-
-func TestMineTriples(t *testing.T) {
-	sets := Mine(paperExample, 3, 3, 0)
-	// {a,b,c} appears in p1,p3,p4 → support 3.
-	found := false
-	for _, s := range sets {
-		if reflect.DeepEqual(s.Items, []string{"a", "b", "c"}) {
-			found = true
-			if s.Support != 3 {
-				t.Fatalf("{a,b,c} support=%d, want 3", s.Support)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("{a,b,c} not mined; got %v", sets)
-	}
-}
-
-// bruteForce enumerates all itemsets up to maxLen by counting subsets.
-func bruteForce(transactions [][]string, minSupport, minLen, maxLen int) map[string]int {
-	counts := map[string]int{}
-	var rec func(items []string, start int, cur []string)
-	universe := map[string]struct{}{}
+// bruteForce counts every pair of distinct items by testing each
+// transaction for both members.
+func bruteForce(transactions [][]string, minSupport int) map[Pair]int {
+	universe := map[string]bool{}
 	for _, tx := range transactions {
 		for _, it := range tx {
-			universe[it] = struct{}{}
+			universe[it] = true
 		}
 	}
 	var all []string
@@ -115,69 +67,37 @@ func bruteForce(transactions [][]string, minSupport, minLen, maxLen int) map[str
 		all = append(all, it)
 	}
 	sort.Strings(all)
-	countOf := func(set []string) int {
-		n := 0
-		for _, tx := range transactions {
-			have := map[string]bool{}
-			for _, it := range tx {
-				have[it] = true
-			}
-			ok := true
-			for _, s := range set {
-				if !have[s] {
-					ok = false
-					break
+	counts := map[Pair]int{}
+	for i := range all {
+		for j := i + 1; j < len(all); j++ {
+			n := 0
+			for _, tx := range transactions {
+				if slices.Contains(tx, all[i]) && slices.Contains(tx, all[j]) {
+					n++
 				}
 			}
-			if ok {
-				n++
+			if n >= minSupport {
+				counts[Pair{all[i], all[j]}] = n
 			}
 		}
-		return n
 	}
-	rec = func(items []string, start int, cur []string) {
-		if len(cur) >= minLen {
-			if c := countOf(cur); c >= minSupport {
-				counts[strings.Join(cur, ",")] = c
-			}
-		}
-		if maxLen > 0 && len(cur) >= maxLen {
-			return
-		}
-		for i := start; i < len(items); i++ {
-			rec(items, i+1, append(cur, items[i]))
-		}
-	}
-	rec(all, 0, nil)
 	return counts
 }
 
-// Property: FP-growth output matches brute-force subset counting on
-// random small transaction databases.
-func TestMineAgainstBruteForce(t *testing.T) {
+// Property: FrequentPairs matches brute-force pair counting on random
+// small transaction databases, duplicates within a transaction included.
+func TestFrequentPairsAgainstBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		items := []string{"a", "b", "c", "d", "e"}
-		nTx := 1 + rng.Intn(12)
-		txs := make([][]string, nTx)
+		txs := make([][]string, 1+rng.Intn(12))
 		for i := range txs {
-			k := 1 + rng.Intn(4)
-			perm := rng.Perm(len(items))
-			for _, p := range perm[:k] {
-				txs[i] = append(txs[i], items[p])
+			for k := 1 + rng.Intn(5); k > 0; k-- {
+				txs[i] = append(txs[i], items[rng.Intn(len(items))])
 			}
 		}
-		minSup := 1 + rng.Intn(3)
-		got := map[string]int{}
-		for _, s := range Mine(txs, minSup, 1, 0) {
-			key := strings.Join(s.Items, ",")
-			if _, dup := got[key]; dup {
-				t.Logf("seed %d: duplicate itemset %q", seed, key)
-				return false
-			}
-			got[key] = s.Support
-		}
-		want := bruteForce(txs, minSup, 1, 0)
+		minSup := rng.Intn(4) // 0 is clamped to 1
+		got, want := FrequentPairs(txs, minSup), bruteForce(txs, max(minSup, 1))
 		if !reflect.DeepEqual(got, want) {
 			t.Logf("seed %d:\ntxs=%v\ngot= %v\nwant=%v", seed, txs, got, want)
 			return false
@@ -187,39 +107,8 @@ func TestMineAgainstBruteForce(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestMineEmptyAndDegenerate(t *testing.T) {
-	if got := Mine(nil, 2, 1, 0); len(got) != 0 {
-		t.Fatalf("Mine(nil)=%v", got)
-	}
-	if got := Mine([][]string{{}, {}}, 1, 1, 0); len(got) != 0 {
-		t.Fatalf("Mine(empty txs)=%v", got)
-	}
-	if got := FrequentPairs([][]string{{"only"}}, 1); len(got) != 0 {
-		t.Fatalf("single-item tx produced pairs: %v", got)
-	}
-	// minSupport below 1 is clamped.
-	if got := Mine([][]string{{"a"}}, 0, 1, 0); len(got) != 1 || got[0].Support != 1 {
-		t.Fatalf("clamped minSupport: %v", got)
-	}
-}
-
-func TestSortItemsets(t *testing.T) {
-	sets := []Itemset{
-		{Items: []string{"b"}, Support: 1},
-		{Items: []string{"a", "b"}, Support: 3},
-		{Items: []string{"a"}, Support: 3},
-		{Items: []string{"c"}, Support: 2},
-	}
-	SortItemsets(sets)
-	var keys []string
-	for _, s := range sets {
-		keys = append(keys, fmt.Sprintf("%s:%d", strings.Join(s.Items, ","), s.Support))
-	}
-	want := []string{"a:3", "a,b:3", "c:2", "b:1"}
-	if !reflect.DeepEqual(keys, want) {
-		t.Fatalf("sorted=%v, want %v", keys, want)
+	if got := FrequentPairs([][]string{{"only"}, {}}, 1); len(got) != 0 {
+		t.Fatalf("single-item and empty txs produced pairs: %v", got)
 	}
 }
 

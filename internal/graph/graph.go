@@ -3,7 +3,7 @@
 // connected components, per-vertex triangle listing (the clique lists of
 // §V-B1), bounded-radius ego subgraphs (for the Weisfeiler–Lehman kernel
 // of γ¹), random walks (for DeepWalk-style baseline embeddings), and
-// degree statistics (for the scale-free analyses of §IV-A).
+// bounded path counts (for the GHOST baseline).
 //
 // Vertices are dense int indexes, so callers keep their own mapping from
 // domain objects (authors, papers) to vertex IDs. Adjacency is stored as
@@ -154,31 +154,11 @@ func (g *Graph) Components() (comp []int, count int) {
 	return comp, count
 }
 
-// Triangle is a vertex triple with A < B < C.
-type Triangle struct{ A, B, C int }
-
-// TrianglesOf lists all triangles containing v. This is the "co-author
-// clique" list L(v) of Eq. 5 — the paper restricts clique listing to
-// triangles for tractability, and so do we.
-func (g *Graph) TrianglesOf(v int) []Triangle {
-	g.check(v)
-	nbrs := g.adj[v]
-	var out []Triangle
-	for i := 0; i < len(nbrs); i++ {
-		for j := i + 1; j < len(nbrs); j++ {
-			if g.HasEdge(int(nbrs[i]), int(nbrs[j])) {
-				tri := normTriangle(v, int(nbrs[i]), int(nbrs[j]))
-				out = append(out, tri)
-			}
-		}
-	}
-	return out
-}
-
 // VisitTrianglePairs calls fn(u, w) for every triangle (v, u, w), where
-// u < w are neighbors of v joined by an edge — the allocation-free
-// variant of TrianglesOf used by profile building, which only needs the
-// two non-pivot vertices.
+// u < w are neighbors of v joined by an edge. The triangles through v
+// are the "co-author clique" list L(v) of Eq. 5 — the paper restricts
+// clique listing to triangles for tractability, and so do we — and
+// profile building only needs their two non-pivot vertices.
 func (g *Graph) VisitTrianglePairs(v int, fn func(u, w int)) {
 	g.check(v)
 	nbrs := g.adj[v]
@@ -189,68 +169,6 @@ func (g *Graph) VisitTrianglePairs(v int, fn func(u, w int)) {
 			}
 		}
 	}
-}
-
-func normTriangle(a, b, c int) Triangle {
-	if a > b {
-		a, b = b, a
-	}
-	if b > c {
-		b, c = c, b
-	}
-	if a > b {
-		a, b = b, a
-	}
-	return Triangle{a, b, c}
-}
-
-// CountTriangles returns the total number of distinct triangles using the
-// forward (oriented) algorithm: each triangle is counted once at its
-// lowest-degree pivot.
-func (g *Graph) CountTriangles() int {
-	n := len(g.adj)
-	// Order vertices by (degree, id); orient edges from lower to higher.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		da, db := len(g.adj[order[a]]), len(g.adj[order[b]])
-		if da != db {
-			return da < db
-		}
-		return order[a] < order[b]
-	})
-	rank := make([]int, n)
-	for r, v := range order {
-		rank[v] = r
-	}
-	fwd := make([][]int32, n)
-	for v := range g.adj {
-		for _, u := range g.adj[v] {
-			if rank[int(u)] > rank[v] {
-				fwd[v] = append(fwd[v], u)
-			}
-		}
-	}
-	mark := make([]bool, n)
-	total := 0
-	for _, v := range order {
-		for _, u := range fwd[v] {
-			mark[u] = true
-		}
-		for _, u := range fwd[v] {
-			for _, w := range fwd[int(u)] {
-				if mark[w] {
-					total++
-				}
-			}
-		}
-		for _, u := range fwd[v] {
-			mark[u] = false
-		}
-	}
-	return total
 }
 
 // Ego returns the induced subgraph of all vertices within the given hop
@@ -313,69 +231,6 @@ func (g *Graph) RandomWalk(start, length int, rng *rand.Rand) []int {
 		path = append(path, cur)
 	}
 	return path
-}
-
-// Degrees returns the degree of every vertex.
-func (g *Graph) Degrees() []int {
-	out := make([]int, len(g.adj))
-	for v := range g.adj {
-		out[v] = len(g.adj[v])
-	}
-	return out
-}
-
-// CommonNeighbors returns the number of shared neighbors of u and v,
-// via a linear merge of the two sorted lists.
-func (g *Graph) CommonNeighbors(u, v int) int {
-	g.check(u)
-	g.check(v)
-	a, b := g.adj[u], g.adj[v]
-	n, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
-}
-
-// ShortestPathLen returns the hop distance between u and v via BFS, or -1
-// when disconnected. maxDepth bounds the search (0 = unbounded).
-func (g *Graph) ShortestPathLen(u, v, maxDepth int) int {
-	g.check(u)
-	g.check(v)
-	if u == v {
-		return 0
-	}
-	dist := map[int]int{u: 0}
-	queue := []int{u}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		d := dist[cur]
-		if maxDepth > 0 && d >= maxDepth {
-			continue
-		}
-		for _, nb := range g.adj[cur] {
-			n := int(nb)
-			if _, seen := dist[n]; seen {
-				continue
-			}
-			if n == v {
-				return d + 1
-			}
-			dist[n] = d + 1
-			queue = append(queue, n)
-		}
-	}
-	return -1
 }
 
 // CountPaths counts simple paths of length exactly L (edges) between u

@@ -93,43 +93,30 @@ func TestComponents(t *testing.T) {
 	}
 }
 
+// trianglePairs lists VisitTrianglePairs(v) as [u, w] pairs.
+func trianglePairs(g *Graph, v int) [][2]int {
+	var out [][2]int
+	g.VisitTrianglePairs(v, func(u, w int) { out = append(out, [2]int{u, w}) })
+	return out
+}
+
 func TestTrianglesOf(t *testing.T) {
-	g := k4()
-	tris := g.TrianglesOf(0)
-	if len(tris) != 3 {
-		t.Fatalf("K4 vertex participates in %d triangles, want 3", len(tris))
-	}
-	for _, tr := range tris {
-		if !(tr.A < tr.B && tr.B < tr.C) {
-			t.Fatalf("triangle not normalized: %+v", tr)
-		}
+	want := [][2]int{{1, 2}, {1, 3}, {2, 3}}
+	if got := trianglePairs(k4(), 0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("K4 triangle pairs of 0 = %v, want %v", got, want)
 	}
 	// A path graph has no triangles.
 	p := New(3)
 	p.AddEdge(0, 1)
 	p.AddEdge(1, 2)
-	if got := p.TrianglesOf(1); len(got) != 0 {
-		t.Fatalf("path triangle list=%v", got)
+	if got := trianglePairs(p, 1); len(got) != 0 {
+		t.Fatalf("path triangle pairs=%v", got)
 	}
 }
 
-func TestCountTriangles(t *testing.T) {
-	if got := k4().CountTriangles(); got != 4 {
-		t.Fatalf("K4 triangles=%d, want 4", got)
-	}
-	g := New(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 0) // one triangle
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 4)
-	if got := g.CountTriangles(); got != 1 {
-		t.Fatalf("triangles=%d, want 1", got)
-	}
-}
-
-// Property: CountTriangles agrees with summing per-vertex triangle lists
-// (each triangle counted three times) on random graphs.
+// Property: on random graphs VisitTrianglePairs(v) yields exactly the
+// pairs u < w, both ≠ v, that close a triangle with v, in ascending
+// order — the brute-force triple loop below.
 func TestTriangleCountConsistency(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -142,11 +129,21 @@ func TestTriangleCountConsistency(t *testing.T) {
 				}
 			}
 		}
-		perVertex := 0
 		for v := 0; v < n; v++ {
-			perVertex += len(g.TrianglesOf(v))
+			var want [][2]int
+			for u := 0; u < n; u++ {
+				for w := u + 1; w < n; w++ {
+					if u != v && w != v && g.HasEdge(v, u) && g.HasEdge(v, w) && g.HasEdge(u, w) {
+						want = append(want, [2]int{u, w})
+					}
+				}
+			}
+			if got := trianglePairs(g, v); !reflect.DeepEqual(got, want) {
+				t.Logf("seed %d vertex %d: got %v, want %v", seed, v, got, want)
+				return false
+			}
 		}
-		return perVertex == 3*g.CountTriangles()
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -216,37 +213,6 @@ func TestRandomWalk(t *testing.T) {
 	}
 }
 
-func TestCommonNeighbors(t *testing.T) {
-	g := k4()
-	if got := g.CommonNeighbors(0, 1); got != 2 {
-		t.Fatalf("K4 common neighbors=%d, want 2", got)
-	}
-	h := New(3)
-	h.AddEdge(0, 1)
-	if got := h.CommonNeighbors(0, 2); got != 0 {
-		t.Fatalf("common=%d, want 0", got)
-	}
-}
-
-func TestShortestPathLen(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	if d := g.ShortestPathLen(0, 3, 0); d != 3 {
-		t.Fatalf("dist=%d, want 3", d)
-	}
-	if d := g.ShortestPathLen(0, 0, 0); d != 0 {
-		t.Fatalf("self dist=%d", d)
-	}
-	if d := g.ShortestPathLen(0, 4, 0); d != -1 {
-		t.Fatalf("disconnected dist=%d, want -1", d)
-	}
-	if d := g.ShortestPathLen(0, 3, 2); d != -1 {
-		t.Fatalf("depth-capped dist=%d, want -1", d)
-	}
-}
-
 func TestCountPaths(t *testing.T) {
 	g := k4()
 	// Length-2 simple paths between 0 and 1 in K4 pass through 2 or 3.
@@ -267,9 +233,8 @@ func TestCountPaths(t *testing.T) {
 
 func TestDegreesAndVisit(t *testing.T) {
 	g := k4()
-	degs := g.Degrees()
-	for v, d := range degs {
-		if d != 3 {
+	for v := 0; v < 4; v++ {
+		if d := g.Degree(v); d != 3 {
 			t.Fatalf("vertex %d degree=%d", v, d)
 		}
 	}

@@ -137,14 +137,6 @@ func (w *Writer) Strings(s []string) {
 	}
 }
 
-// Ints writes a length-prefixed []int as signed varints.
-func (w *Writer) Ints(s []int) {
-	w.Uvarint(uint64(len(s)))
-	for _, x := range s {
-		w.Varint(int64(x))
-	}
-}
-
 // Int32s writes a length-prefixed []int32 as signed varints.
 func (w *Writer) Int32s(s []int32) {
 	w.Uvarint(uint64(len(s)))
@@ -185,42 +177,56 @@ type Reader struct {
 	err error
 }
 
-// ErrFormat reports a stream that is not a snapshot or has an
-// unsupported version.
+// ErrFormat reports a stream that is not a snapshot, or that has bytes
+// after its end.
 type ErrFormat struct{ msg string }
 
 func (e *ErrFormat) Error() string { return "snapshot: " + e.msg }
 
+// retired maps each format version an earlier build wrote, and this one
+// no longer reads, to the last build that reads it. The base snapshot
+// (internal/core) and the journal record (internal/wal) share one
+// version space: 1 and 1000+ are bases, 2000+ records. DESIGN.md §6 has
+// the upgrade path.
+var retired = map[uint64]string{
+	1:    "c7cccf9", // the pipeline snapshot
+	1001: "13f9370", // the base without the CRC-32C trailer
+	1002: "3d80390", // the sharded composite base: its manifest
+	1003: "3d80390", // the sharded composite base: a shard segment
+	2001: "13f9370", // the journal record without the previous outcome
+}
+
+// VersionError reports a stream in a format version this build does not
+// read. Match it with errors.As.
+type VersionError struct {
+	Version uint64 // the stream's version
+	Want    uint64 // the version this build reads
+	// LastBuild is the last build that reads Version, for a version an
+	// earlier build wrote; "" for a version no build wrote.
+	LastBuild string
+}
+
+func (e *VersionError) Error() string {
+	if e.LastBuild == "" {
+		return fmt.Sprintf("snapshot: version %d, this build reads %d", e.Version, e.Want)
+	}
+	return fmt.Sprintf("snapshot: version %d is retired, this build reads %d; build %s is the last that reads %d (open it once with that build and close it to upgrade)",
+		e.Version, e.Want, e.LastBuild, e.Version)
+}
+
 // NewReader validates the magic and version and returns a reader.
-// wantVersion is the only version the caller understands.
+// wantVersion is the only version the caller understands; any other is
+// a *VersionError.
 func NewReader(r io.Reader, wantVersion uint64) (*Reader, error) {
 	sr := &Reader{r: bufio.NewReader(r)}
 	v, err := sr.header()
 	if err == nil && v != wantVersion {
-		err = &ErrFormat{msg: fmt.Sprintf("snapshot version %d, this build reads %d", v, wantVersion)}
+		err = &VersionError{Version: v, Want: wantVersion, LastBuild: retired[v]}
 	}
 	if err != nil {
 		return nil, err
 	}
 	return sr, nil
-}
-
-// NewVersionedReader validates the magic and returns a reader with the
-// stream's version, whatever it is, for a caller that reads more than
-// one version and checks it itself.
-func NewVersionedReader(r io.Reader) (*Reader, uint64, error) {
-	sr := &Reader{r: bufio.NewReader(r)}
-	v, err := sr.header()
-	if err != nil {
-		return nil, 0, err
-	}
-	return sr, v, nil
-}
-
-// ReadHeader returns the format version of the stream r starts, whatever
-// it is, for a caller that frames versions differently.
-func ReadHeader(r io.Reader) (uint64, error) {
-	return (&Reader{r: bufio.NewReader(r)}).header()
 }
 
 func (r *Reader) header() (uint64, error) {
@@ -386,22 +392,6 @@ func (r *Reader) Strings() []string {
 	out := make([]string, 0, startCap(n))
 	for i := 0; i < n && r.err == nil; i++ {
 		out = append(out, r.String())
-	}
-	if r.err != nil {
-		return nil
-	}
-	return out
-}
-
-// Ints reads a length-prefixed []int.
-func (r *Reader) Ints() []int {
-	n := r.length()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]int, 0, startCap(n))
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, int(r.Varint()))
 	}
 	if r.err != nil {
 		return nil

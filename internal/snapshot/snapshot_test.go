@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -22,7 +23,6 @@ func TestRoundTrip(t *testing.T) {
 	w.String("")
 	w.Bytes([]byte{1, 2, 3})
 	w.Strings([]string{"a", "", "c"})
-	w.Ints([]int{-1, 0, 1 << 40})
 	w.Int32s([]int32{-5, 5})
 	w.F64s([]float64{1.5, -0.25})
 	w.F32s([]float32{float32(math.E), -0})
@@ -64,9 +64,6 @@ func TestRoundTrip(t *testing.T) {
 	if got := r.Strings(); !reflect.DeepEqual(got, []string{"a", "", "c"}) {
 		t.Fatalf("strings=%v", got)
 	}
-	if got := r.Ints(); !reflect.DeepEqual(got, []int{-1, 0, 1 << 40}) {
-		t.Fatalf("ints=%v", got)
-	}
 	if got := r.Int32s(); !reflect.DeepEqual(got, []int32{-5, 5}) {
 		t.Fatalf("int32s=%v", got)
 	}
@@ -93,10 +90,7 @@ func TestHeaderAndTrailingBytes(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := ReadHeader(bytes.NewReader(buf.Bytes())); err != nil || v != 1004 {
-		t.Fatalf("ReadHeader = %d, %v; want 1004", v, err)
-	}
-	if _, err := ReadHeader(strings.NewReader("IUADSN")); err == nil {
+	if _, err := NewReader(strings.NewReader("IUADSN"), 1004); err == nil {
 		t.Fatal("short magic accepted")
 	}
 	r, err := NewReader(bytes.NewReader(append(buf.Bytes(), 0)), 1004)
@@ -137,8 +131,17 @@ func TestBadMagicAndVersion(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewReader(&buf, 1); err == nil {
-		t.Fatal("version mismatch accepted")
+	var ve *VersionError
+	if _, err := NewReader(&buf, 1); !errors.As(err, &ve) || ve.Version != 2 || ve.Want != 1 || ve.LastBuild != "" {
+		t.Fatalf("version mismatch = %v, want a *VersionError for 2 with no last build", err)
+	}
+	buf.Reset()
+	if err := NewWriter(&buf, 2001).Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err := NewReader(&buf, 2002)
+	if !errors.As(err, &ve) || ve.Version != 2001 || ve.LastBuild != "13f9370" || !strings.Contains(err.Error(), "13f9370") {
+		t.Fatalf("retired version = %v, want a *VersionError for 2001 naming build 13f9370", err)
 	}
 }
 

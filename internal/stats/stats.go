@@ -1,8 +1,7 @@
 // Package stats provides the small statistical toolkit the paper leans
 // on: the standard-normal CDF, the central-limit approximation of the
-// binomial tail used in the key observation of §IV-A (Eq. 1), log-log
-// histograms with least-squares power-law slope fits (Fig. 3), and basic
-// descriptive summaries.
+// binomial tail used in the key observation of §IV-A (Eq. 1), and log-log
+// histograms with least-squares power-law slope fits (Fig. 3).
 package stats
 
 import (
@@ -15,47 +14,6 @@ import (
 // function, via the complementary error function.
 func NormalCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}
-
-// NormalQuantile returns Φ⁻¹(p) using the Acklam rational approximation
-// refined by one Newton step. p must be in (0,1).
-func NormalQuantile(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		return math.NaN()
-	}
-	// Acklam's coefficients.
-	a := [6]float64{-3.969683028665376e+01, 2.209460984245205e+02,
-		-2.759285104469687e+02, 1.383577518672690e+02,
-		-3.066479806614716e+01, 2.506628277459239e+00}
-	b := [5]float64{-5.447609879822406e+01, 1.615858368580409e+02,
-		-1.556989798598866e+02, 6.680131188771972e+01,
-		-1.328068155288572e+01}
-	c := [6]float64{-7.784894002430293e-03, -3.223964580411365e-01,
-		-2.400758277161838e+00, -2.549732539343734e+00,
-		4.374664141464968e+00, 2.938163982698783e+00}
-	d := [4]float64{7.784695709041462e-03, 3.224671290700398e-01,
-		2.445134137142996e+00, 3.754408661907416e+00}
-	const plow, phigh = 0.02425, 1 - 0.02425
-	var x float64
-	switch {
-	case p < plow:
-		q := math.Sqrt(-2 * math.Log(p))
-		x = (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case p <= phigh:
-		q := p - 0.5
-		r := q * q
-		x = (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	default:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		x = -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	}
-	// One Newton refinement using the exact CDF.
-	e := NormalCDF(x) - p
-	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
-	return x - u/(1+x*u/2)
 }
 
 // BinomialTailCLT approximates Pr(X ≥ x) for X ~ Binom(N, p) with the
@@ -209,74 +167,4 @@ func LinearFit(xs, ys []float64) (slope, intercept float64, err error) {
 	slope = (n*sxy - sx*sy) / den
 	intercept = (sy - slope*sx) / n
 	return slope, intercept, nil
-}
-
-// Summary holds descriptive statistics of a float sample.
-type Summary struct {
-	N              int
-	Mean, Std      float64
-	Min, Max       float64
-	Median         float64
-	P90, P99       float64
-	Sum            float64
-	Variance       float64 // population variance
-	SampleVariance float64 // n-1 denominator; 0 when N < 2
-}
-
-// Summarize computes a Summary. An empty input returns the zero Summary.
-func Summarize(values []float64) Summary {
-	var s Summary
-	s.N = len(values)
-	if s.N == 0 {
-		return s
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	s.Min = sorted[0]
-	s.Max = sorted[s.N-1]
-	for _, v := range sorted {
-		s.Sum += v
-	}
-	s.Mean = s.Sum / float64(s.N)
-	var ss float64
-	for _, v := range sorted {
-		d := v - s.Mean
-		ss += d * d
-	}
-	s.Variance = ss / float64(s.N)
-	if s.N > 1 {
-		s.SampleVariance = ss / float64(s.N-1)
-	}
-	s.Std = math.Sqrt(s.Variance)
-	s.Median = quantileSorted(sorted, 0.5)
-	s.P90 = quantileSorted(sorted, 0.9)
-	s.P99 = quantileSorted(sorted, 0.99)
-	return s
-}
-
-// quantileSorted returns the linearly interpolated q-quantile of a sorted
-// sample.
-func quantileSorted(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return math.NaN()
-	}
-	if n == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Quantile returns the q-quantile of an unsorted sample.
-func Quantile(values []float64, q float64) float64 {
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
 }

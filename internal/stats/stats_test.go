@@ -32,19 +32,6 @@ func TestNormalCDFSymmetry(t *testing.T) {
 	}
 }
 
-func TestNormalQuantileInvertsCDF(t *testing.T) {
-	for _, p := range []float64{0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999} {
-		x := NormalQuantile(p)
-		approx(t, NormalCDF(x), p, 1e-9, "Φ(Φ⁻¹(p))")
-	}
-	if !math.IsNaN(NormalQuantile(0)) || !math.IsNaN(NormalQuantile(1)) {
-		t.Fatal("quantile at 0/1 should be NaN")
-	}
-}
-
-// TestEquation2TailProbability reproduces the paper's §IV-A worked
-// example: na=nb=500, N=5·10⁵ gives E(X)=0.5 and
-// Pr(X ≥ 3) = 1 − Φ((2.5 − 0.5)/sqrt(0.5)) ≈ 2.3389·10⁻³.
 func TestEquation2TailProbability(t *testing.T) {
 	got := CoOccurrenceTail(500, 500, 500000, 3)
 	approx(t, got, 2.3389e-3, 2e-5, "Pr(X≥3) (Eq. 2)")
@@ -151,56 +138,5 @@ func TestLinearFit(t *testing.T) {
 	}
 	if _, _, err := LinearFit([]float64{2, 2}, []float64{1, 5}); err == nil {
 		t.Fatal("vertical line fit should fail")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{4, 1, 3, 2})
-	approx(t, s.Mean, 2.5, 1e-12, "mean")
-	approx(t, s.Median, 2.5, 1e-12, "median")
-	approx(t, s.Min, 1, 0, "min")
-	approx(t, s.Max, 4, 0, "max")
-	approx(t, s.Variance, 1.25, 1e-12, "variance")
-	approx(t, s.SampleVariance, 5.0/3.0, 1e-12, "sample variance")
-	if s.N != 4 {
-		t.Fatalf("N=%d", s.N)
-	}
-	empty := Summarize(nil)
-	if empty.N != 0 {
-		t.Fatal("empty summary")
-	}
-	single := Summarize([]float64{7})
-	approx(t, single.Median, 7, 0, "single median")
-	if single.SampleVariance != 0 {
-		t.Fatal("single-sample variance should be 0")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	vals := []float64{1, 2, 3, 4, 5}
-	approx(t, Quantile(vals, 0), 1, 0, "q0")
-	approx(t, Quantile(vals, 1), 5, 0, "q1")
-	approx(t, Quantile(vals, 0.5), 3, 0, "q0.5")
-	approx(t, Quantile(vals, 0.25), 2, 1e-12, "q0.25")
-}
-
-// Property: the summary mean always lies between min and max.
-func TestSummaryBoundsProperty(t *testing.T) {
-	f := func(vals []float64) bool {
-		clean := vals[:0]
-		for _, v := range vals {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) && math.Abs(v) < 1e12 {
-				clean = append(clean, v)
-			}
-		}
-		if len(clean) == 0 {
-			return true
-		}
-		s := Summarize(clean)
-		return s.Mean >= s.Min-1e-9 && s.Mean <= s.Max+1e-9 &&
-			s.Median >= s.Min-1e-9 && s.Median <= s.Max+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"iuad/internal/bib"
 	"iuad/internal/faultinject"
+	"iuad/internal/snapshot"
 )
 
 // Apply consumes one replayed batch. Recovery calls it with strictly
@@ -21,8 +22,8 @@ type Apply func(epoch uint64, batch []bib.Paper) error
 // ApplyOutcome is Apply with the batch's recorded outcome: the vertex
 // of every author slot, in paper then author order, as the live commit
 // assigned them. outcome is nil when no later record carries it — the
-// last batch, or one followed by a version-2001 record or a Cut — and
-// the batch must then be decided again. An error that wraps
+// last batch, or one followed by a Cut — and the batch must then be
+// decided again. An error that wraps
 // ErrBadOutcome is reported as a *CorruptError at the record that
 // carried the outcome.
 type ApplyOutcome func(epoch uint64, batch []bib.Paper, outcome []int) error
@@ -69,6 +70,9 @@ type ReplayReport struct {
 //   - a record torn by a crash mid-write — short header, length past
 //     EOF, or checksum mismatch with nothing valid after it, in the
 //     FINAL segment — is truncated off, not an error;
+//   - a record in a retired version wraps a *snapshot.VersionError
+//     naming the segment and byte offset: it is not corrupt, and the
+//     build it names reads it;
 //   - any other failure is a *CorruptError naming the segment and
 //     byte offset: an interior batch cannot be dropped silently.
 //
@@ -277,6 +281,10 @@ func (j *Journal) replaySegment(path string, gen uint64, last bool, rp *replayer
 			return j.truncateTail(path, off, rep)
 		}
 		epoch, batch, outcome, err := decodeRecordPayload(payload)
+		var ve *snapshot.VersionError
+		if errors.As(err, &ve) {
+			return fmt.Errorf("wal: record at %s offset %d: %w", path, off, err)
+		}
 		if err != nil {
 			return &CorruptError{Path: path, Offset: off, Reason: "payload decode: " + err.Error()}
 		}

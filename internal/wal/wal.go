@@ -79,14 +79,11 @@ const (
 	// outcome of the batch at epoch-1 — a uvarint slot count (0 when
 	// the record carries none) and one uvarint vertex ID per slot, in
 	// paper then author order. A created vertex is recorded as the ID
-	// it got, the next free one, so no flag is needed. The 2000+
-	// namespace is the journal's; the base snapshot is 1004 (1001 read
-	// for upgrades, 1 and 1002/1003 retired). The record's integrity is
-	// the FNV-64a in its frame, not the stream's.
+	// it got, the next free one, so no flag is needed. It is the one
+	// version written and read; 2001, the record without the outcome,
+	// is retired (DESIGN.md §6). The record's integrity is the FNV-64a
+	// in its frame, not the stream's.
 	recordVersion = 2002
-	// recordVersion2001 is the record without the outcome. It is still
-	// read, and its batches are scored on replay; nothing writes it.
-	recordVersion2001 = 2001
 
 	// maxRecordBytes bounds a single record; a length field past it is
 	// treated as corruption, not an allocation request.
@@ -695,15 +692,12 @@ func encodeRecord(epoch uint64, batch []bib.Paper, outcome []int) ([]byte, error
 }
 
 // decodeRecordPayload decodes one record: its epoch, its batch and the
-// outcome of the batch before it (nil when the record carries none,
-// always for a 2001 record).
+// outcome of the batch before it (nil when the record carries none). A
+// record of another version is a *snapshot.VersionError.
 func decodeRecordPayload(payload []byte) (uint64, []bib.Paper, []int, error) {
-	sr, version, err := snapshot.NewVersionedReader(bytes.NewReader(payload))
+	sr, err := snapshot.NewReader(bytes.NewReader(payload), recordVersion)
 	if err != nil {
 		return 0, nil, nil, err
-	}
-	if version != recordVersion && version != recordVersion2001 {
-		return 0, nil, nil, fmt.Errorf("record version %d, this build reads %d and %d", version, recordVersion, recordVersion2001)
 	}
 	epoch := sr.Uvarint()
 	n := sr.Int()
@@ -720,9 +714,6 @@ func decodeRecordPayload(payload []byte) (uint64, []bib.Paper, []int, error) {
 			return 0, nil, nil, err
 		}
 		papers = append(papers, p)
-	}
-	if version == recordVersion2001 {
-		return epoch, papers, nil, nil
 	}
 	k := sr.Uvarint()
 	if err := sr.Err(); err != nil {

@@ -752,11 +752,12 @@ func TestOutcomeAtOrBelowCutDropped(t *testing.T) {
 	sameOutcomes(t, got, [][]int{o2, nil})
 }
 
-// encodeRecord2001 frames a record the way the 2001 build wrote them.
+// encodeRecord2001 frames a record the way the 2001 build wrote them:
+// no outcome after the batch.
 func encodeRecord2001(t *testing.T, epoch uint64, batch []bib.Paper) []byte {
 	t.Helper()
 	var payload bytes.Buffer
-	sw := snapshot.NewWriter(&payload, recordVersion2001)
+	sw := snapshot.NewWriter(&payload, 2001)
 	sw.Uvarint(epoch)
 	sw.Int(len(batch))
 	for i := range batch {
@@ -770,33 +771,47 @@ func encodeRecord2001(t *testing.T, epoch uint64, batch []bib.Paper) []byte {
 	return append(rec, payload.Bytes()...)
 }
 
-func TestVersion2001RecordsReplayWithoutOutcome(t *testing.T) {
-	dir := t.TempDir()
+// A 2001 record is refused by its version wherever it sits, the final
+// record of the final segment included: the torn-tail rule never cuts
+// it off, and it is not reported as corruption.
+func TestVersion2001RecordsRefused(t *testing.T) {
 	seg := make([]byte, segHeaderLen)
 	copy(seg, segMagic)
 	binary.LittleEndian.PutUint64(seg[8:16], segVersion)
 	binary.LittleEndian.PutUint64(seg[24:32], 1) // key 0, generation 1
-	b1, b2 := testBatch(1, 2), testBatch(2, 1)
-	seg = append(seg, encodeRecord2001(t, 1, b1)...)
-	seg = append(seg, encodeRecord2001(t, 2, b2)...)
-	if err := os.WriteFile(filepath.Join(dir, segmentName(0, 1)), seg, 0o644); err != nil {
-		t.Fatal(err)
+	first := encodeRecord2001(t, 1, testBatch(1, 2))
+	seg = append(seg, first...)
+	seg = append(seg, encodeRecord2001(t, 2, testBatch(2, 1))...)
+	for _, tc := range []struct {
+		name string
+		seg  []byte
+	}{
+		{"interior", seg},
+		{"final record", seg[:segHeaderLen+len(first)]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, segmentName(0, 1))
+			if err := os.WriteFile(path, tc.seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			j, err := Open(dir, Config{Fsync: SyncOff})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			_, err = j.RecoverOutcomes(0, func(uint64, []bib.Paper, []int) error { return nil })
+			var ve *snapshot.VersionError
+			var ce *CorruptError
+			if !errors.As(err, &ve) || ve.Version != 2001 || ve.LastBuild == "" || errors.As(err, &ce) ||
+				!strings.Contains(err.Error(), fmt.Sprintf("offset %d", segHeaderLen)) {
+				t.Fatalf("2001 segment: err = %v, want a *snapshot.VersionError for 2001 at offset %d, not a *CorruptError", err, segHeaderLen)
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, tc.seg) {
+				t.Fatalf("2001 segment changed by the refused recovery (err %v)", err)
+			}
+		})
 	}
-	got, rep := replayOutcomes(t, dir, 0)
-	sameOutcomes(t, got, [][]int{nil, nil})
-	if rep.Batches != 2 || rep.Decided != 0 {
-		t.Fatalf("2001 replay report %+v, want 2 batches, none decided", rep)
-	}
-
-	// This build appends after the 2001 chain: its first record carries
-	// the outcome of the last 2001 batch.
-	j := recovered(t, dir, Config{Fsync: SyncOff}, 0)
-	o2 := testOutcome(2, b2)
-	j.RecordOutcome(2, o2)
-	mustAppend(t, j, 3, testBatch(3, 1))
-	j.Close()
-	got, _ = replayOutcomes(t, dir, 0)
-	sameOutcomes(t, got, [][]int{nil, o2, nil})
 }
 
 func TestOutcomeSlotCountMismatchRejected(t *testing.T) {

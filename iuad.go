@@ -116,8 +116,9 @@
 // the whole fitted state, closed by a CRC-32C. Service.Save / SaveFile /
 // Close (with WithSnapshot) and the journal's compactions write it; Open
 // restores it with no EM re-run and bit-identical serving, and refuses
-// a damaged one with *SnapshotError instead of refitting over it. A
-// bare Pipeline is saved by wrapping it:
+// a damaged one with *SnapshotError instead of refitting over it (one in
+// a retired format version also matches *VersionError, which names the
+// build that upgrades it). A bare Pipeline is saved by wrapping it:
 //
 //	svc, err := iuad.NewService(pipeline)
 //	err = svc.SaveFile("pipeline.snap")

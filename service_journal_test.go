@@ -15,7 +15,9 @@ import (
 	"time"
 
 	"iuad"
+	"iuad/internal/bib"
 	"iuad/internal/faultinject"
+	"iuad/internal/snapshot"
 )
 
 // copyJournalDir clones a journal directory byte-for-byte into a fresh
@@ -583,12 +585,28 @@ func baseVersion(t *testing.T, path string) uint64 {
 	return v
 }
 
-// TestJournalUpgrades1001Base pins the upgrade path of bases written
-// before the CRC trailer (format 1001): a journal directory whose base
-// is 1001, with segments on top, opens and answers exactly like the
-// process that wrote it, and its Close rewrites the base as 1004.
-func TestJournalUpgrades1001Base(t *testing.T) {
-	d := serviceDataset(109)
+// dirFiles reads every regular file of dir, by name.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range ents {
+		if e.Type().IsRegular() {
+			if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return files
+}
+
+// journalWithBase writes a journal directory over d: a compacted base
+// with two batches of two papers in segments on top of it.
+func journalWithBase(t *testing.T, d *iuad.SyntheticDataset) string {
+	t.Helper()
 	jdir := t.TempDir()
 	svc, err := iuad.Open(d.Corpus,
 		iuad.WithConfig(equivCoreConfig(1)), iuad.WithJournalConfig(jdir, noCompact))
@@ -596,27 +614,55 @@ func TestJournalUpgrades1001Base(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	stream := streamProbes(d, "upgrade", 6)
-	if _, err := svc.AddPapers(context.Background(), stream[:2]); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < 3; i++ {
+	stream := streamProbes(d, "retired", 6)
+	for i := 0; i < 3; i++ {
 		if _, err := svc.AddPapers(context.Background(), stream[i*2:i*2+2]); err != nil {
 			t.Fatal(err)
 		}
+		if i == 0 {
+			if err := svc.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	fp, epoch := surfaceFingerprint(t, svc), svc.Epoch()
-
-	// Rewrite the 1004 base as 1001: the same header and body, the
-	// 2-byte version patched and the 4-byte CRC trailer cut.
-	crash := copyJournalDir(t, jdir)
-	base := iuad.JournalBasePath(crash)
-	if v := baseVersion(t, base); v != 1004 {
+	if v := baseVersion(t, iuad.JournalBasePath(jdir)); v != 1004 {
 		t.Fatalf("compacted base is version %d, want 1004", v)
 	}
+	return copyJournalDir(t, jdir)
+}
+
+// assertRefusedRetired checks that an Open over dir failed with the typed
+// error for a retired version, naming the version and the last build
+// that reads it, and that no file of dir changed.
+func assertRefusedRetired(t *testing.T, name string, svc *iuad.Service, err error, version uint64, dir string, before map[string][]byte) {
+	t.Helper()
+	if err == nil {
+		svc.Close()
+		t.Fatalf("%s: Open over version %d succeeded", name, version)
+	}
+	var ve *iuad.VersionError
+	var ce *iuad.JournalCorruptError
+	if !errors.As(err, &ve) || ve.Version != version || ve.LastBuild != "13f9370" ||
+		!strings.Contains(err.Error(), "13f9370") || errors.As(err, &ce) {
+		t.Fatalf("%s: Open = %v, want a *iuad.VersionError for version %d naming build 13f9370, not corruption", name, err, version)
+	}
+	after := dirFiles(t, dir)
+	for f, b := range before {
+		if !bytes.Equal(after[f], b) {
+			t.Fatalf("%s: %s changed on disk after the refused Open", name, f)
+		}
+	}
+}
+
+// TestJournalRefuses1001Base: a base written before the CRC trailer
+// (format 1001) is refused by its version, under WithJournal and
+// WithSnapshot, and left untouched with the segments on top of it. The
+// build it names upgrades it.
+func TestJournalRefuses1001Base(t *testing.T) {
+	dir := journalWithBase(t, serviceDataset(109))
+	base := iuad.JournalBasePath(dir)
+	// Rewrite the 1004 base as 1001: the same header and body, the
+	// 2-byte version patched and the 4-byte CRC trailer cut.
 	b, err := os.ReadFile(base)
 	if err != nil {
 		t.Fatal(err)
@@ -630,73 +676,91 @@ func TestJournalUpgrades1001Base(t *testing.T) {
 	if err := os.WriteFile(base, b[:len(b)-4], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if v := baseVersion(t, base); v != 1001 {
-		t.Fatalf("patched base is version %d, want 1001", v)
+	before := dirFiles(t, dir)
+	if len(before) < 3 {
+		t.Fatalf("journal directory holds %d files, want a base and segments", len(before))
 	}
-
-	rec, err := iuad.Open(nil, iuad.WithJournalConfig(crash, noCompact))
-	if err != nil {
-		t.Fatalf("open over a 1001 base: %v", err)
-	}
-	if rep := rec.JournalRecovery(); rep == nil || rep.Batches != 2 {
-		t.Fatalf("replay report %+v, want the 2 batches on top of the base", rep)
-	}
-	if rec.Epoch() != epoch {
-		t.Fatalf("recovered epoch %d, want %d", rec.Epoch(), epoch)
-	}
-	if got := surfaceFingerprint(t, rec); got != fp {
-		t.Fatal("recovery over a 1001 base diverged")
-	}
-	post := streamProbes(d, "upgrade-post", 3)
-	want, err := svc.AddPapers(context.Background(), post)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := rec.AddPapers(context.Background(), post)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameAssignments(t, "after upgrade", want, got)
-
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if v := baseVersion(t, base); v != 1004 {
-		t.Fatalf("base after Close is version %d, want 1004", v)
-	}
-	again, err := iuad.Open(nil, iuad.WithJournal(crash))
-	if err != nil {
-		t.Fatalf("reopen of the upgraded base: %v", err)
-	}
-	defer again.Close()
-	if rep := again.JournalRecovery(); rep == nil || rep.Batches != 0 || again.Epoch() != epoch+1 {
-		t.Fatalf("upgraded reopen at epoch %d replayed %+v, want epoch %d and nothing to replay", again.Epoch(), rep, epoch+1)
-	}
+	svc, err := iuad.Open(nil, iuad.WithJournalConfig(dir, noCompact))
+	assertRefusedRetired(t, "WithJournal", svc, err, 1001, dir, before)
+	svc, err = iuad.Open(nil, iuad.WithSnapshot(base))
+	assertRefusedRetired(t, "WithSnapshot", svc, err, 1001, dir, before)
 }
 
-// journal2001Stream is the history testdata/journal2001 holds: a build
-// that wrote version-2001 records (no outcomes) journaled it in six
-// batches of four on serviceDataset(131), with compaction off, so the
-// directory is one segment and no base.
-func journal2001Stream(d *iuad.SyntheticDataset) []iuad.Paper {
-	var out []iuad.Paper
-	s, c := streamProbes(d, "v2001", 12), collabProbes(d, "v2001", 12)
-	for i := range s {
-		out = append(out, s[i], c[i])
+// TestJournalRefuses2001Segment: segments of version-2001 records (no
+// outcome) over a valid base are refused by their version, not reported
+// as corruption and not cut off as a torn tail, and every file stays as
+// it was.
+func TestJournalRefuses2001Segment(t *testing.T) {
+	dir := journalWithBase(t, serviceDataset(131))
+	segs, err := filepath.Glob(filepath.Join(dir, "wal.e*"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segments in %s (err %v)", dir, err)
 	}
-	return out
+	for _, seg := range segs {
+		rewriteRecords2001(t, seg)
+	}
+	before := dirFiles(t, dir)
+	svc, err := iuad.Open(nil, iuad.WithJournalConfig(dir, noCompact))
+	assertRefusedRetired(t, "2001 segment", svc, err, 2001, dir, before)
+}
+
+// rewriteRecords2001 rewrites every record of the segment at path the
+// way the 2001 build wrote it: the epoch and the batch, no outcome. A
+// segment is a 32-byte header, then records framed as [u32 LE payload
+// length][u64 LE FNV-64a of the payload][payload].
+func rewriteRecords2001(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const segHeaderLen, recHeaderLen = 32, 12
+	out := append([]byte(nil), data[:segHeaderLen]...)
+	for off := segHeaderLen; off < len(data); {
+		end := off + recHeaderLen + int(binary.LittleEndian.Uint32(data[off:]))
+		sr, err := snapshot.NewReader(bytes.NewReader(data[off+recHeaderLen:end]), 2002)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var payload bytes.Buffer
+		sw := snapshot.NewWriter(&payload, 2001)
+		sw.Uvarint(sr.Uvarint())
+		n := sr.Int()
+		sw.Int(n)
+		for i := 0; i < n; i++ {
+			p, err := bib.DecodePaperSnapshot(sr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bib.EncodePaperSnapshot(sw, &p)
+		}
+		if err := errors.Join(sr.Err(), sw.Close()); err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(payload.Bytes())
+		out = binary.LittleEndian.AppendUint32(out, uint32(payload.Len()))
+		out = binary.LittleEndian.AppendUint64(out, h.Sum64())
+		out = append(out, payload.Bytes()...)
+		off = end
+	}
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestJournalDecisionReplayMatchesScoring pins replay by recorded
-// decision. Over one history, decision replay (this build's records),
-// scoring replay (the 2001 records of testdata/journal2001) and a
-// service that never crashed answer every query alike and score the
-// next batch to the bit, for one and four workers. A 2001 directory
-// that took one more commit replays its last 2001 batch by the outcome
-// the new record carries.
+// decision. Over one history, decision replay and a service that never
+// crashed answer every query alike and score the next batch to the bit,
+// for one and four workers. Replay scores only the last batch, whose
+// outcome no record carries.
 func TestJournalDecisionReplayMatchesScoring(t *testing.T) {
 	d := serviceDataset(131)
-	stream := journal2001Stream(d)
+	var stream []iuad.Paper
+	s, c := streamProbes(d, "v2001", 12), collabProbes(d, "v2001", 12)
+	for i := range s {
+		stream = append(stream, s[i], c[i])
+	}
 	const batches, batchSize = 6, 4
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -722,28 +786,16 @@ func TestJournalDecisionReplayMatchesScoring(t *testing.T) {
 					}
 				}
 			}
-			refFP := surfaceFingerprint(t, ref)
 			decided := open(copyJournalDir(t, jdir))
-			scoredDir := copyJournalDir(t, filepath.Join("testdata", "journal2001"))
-			scored := open(scoredDir)
-			for _, tc := range []struct {
-				name    string
-				svc     *iuad.Service
-				decided int
-			}{
-				{"decision replay", decided, batches - 1},
-				{"scoring replay", scored, 0},
-			} {
-				rep := tc.svc.JournalRecovery()
-				if rep.Batches != batches || rep.Decided != tc.decided {
-					t.Fatalf("%s: replay report %+v, want %d batches, %d decided", tc.name, rep, batches, tc.decided)
-				}
-				if tc.svc.Epoch() != ref.Epoch() {
-					t.Fatalf("%s: epoch %d, want %d", tc.name, tc.svc.Epoch(), ref.Epoch())
-				}
-				if surfaceFingerprint(t, tc.svc) != refFP {
-					t.Fatalf("%s: query surface differs from the never-crashed service", tc.name)
-				}
+			rep := decided.JournalRecovery()
+			if rep.Batches != batches || rep.Decided != batches-1 {
+				t.Fatalf("replay report %+v, want %d batches, %d decided", rep, batches, batches-1)
+			}
+			if decided.Epoch() != ref.Epoch() {
+				t.Fatalf("epoch %d, want %d", decided.Epoch(), ref.Epoch())
+			}
+			if surfaceFingerprint(t, decided) != surfaceFingerprint(t, ref) {
+				t.Fatal("query surface differs from the never-crashed service")
 			}
 
 			post := append(streamProbes(d, "after-replay", 3), collabProbes(d, "after-replay", 3)...)
@@ -751,22 +803,12 @@ func TestJournalDecisionReplayMatchesScoring(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, svc := range map[string]*iuad.Service{"live": live, "decision replay": decided, "scoring replay": scored} {
+			for name, svc := range map[string]*iuad.Service{"live": live, "decision replay": decided} {
 				got, err := svc.AddPapers(context.Background(), post)
 				if err != nil {
 					t.Fatal(err)
 				}
 				assertSameAssignments(t, name+", next batch", want, got)
-			}
-
-			// The 2001 directory now ends in a record of this build,
-			// carrying the outcome of the batch recovery scored.
-			again := open(copyJournalDir(t, scoredDir))
-			if rep := again.JournalRecovery(); rep.Batches != batches+1 || rep.Decided != 1 {
-				t.Fatalf("2001 directory after one more commit: replay report %+v, want %d batches, 1 decided", rep, batches+1)
-			}
-			if surfaceFingerprint(t, again) != surfaceFingerprint(t, ref) {
-				t.Fatal("2001 directory after one more commit: query surface differs from the never-crashed service")
 			}
 		})
 	}

@@ -92,8 +92,9 @@ func TestOpenTypedErrors(t *testing.T) {
 			t.Fatalf("%s: Open over a version-1002 base succeeded", tc.name)
 		}
 		var se *iuad.SnapshotError
-		if !strings.Contains(err.Error(), "1002") || !errors.As(err, &se) || se.Path != tc.path {
-			t.Fatalf("%s: Open over a version-1002 base = %v, want a *iuad.SnapshotError naming version 1002 and %s", tc.name, err, tc.path)
+		var ve *iuad.VersionError
+		if !errors.As(err, &ve) || ve.Version != 1002 || ve.LastBuild != "3d80390" || !errors.As(err, &se) || se.Path != tc.path {
+			t.Fatalf("%s: Open over a version-1002 base = %v, want a *iuad.SnapshotError for %s wrapping a *iuad.VersionError for 1002 naming build 3d80390", tc.name, err, tc.path)
 		}
 		if got, err := os.ReadFile(tc.path); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%s: the refused base changed on disk (err %v)", tc.name, err)

@@ -75,7 +75,7 @@ func assertSameAssignments(t *testing.T, label string, live, loaded [][]iuad.Ass
 	}
 }
 
-// saveBase writes pl as a base snapshot the way cmd/iuad -save does
+// saveBase writes pl as a base snapshot the way a fitted pipeline is saved
 // (NewService, then SaveFile) and returns the file.
 func saveBase(t *testing.T, pl *iuad.Pipeline) string {
 	t.Helper()
@@ -90,7 +90,7 @@ func saveBase(t *testing.T, pl *iuad.Pipeline) string {
 	return path
 }
 
-// restoreBase opens a base snapshot the way cmd/iuad -load does. The
+// restoreBase opens a base snapshot the way iuadserver -snapshot does. The
 // service is not closed: Close would write the file back.
 func restoreBase(t *testing.T, path string) *iuad.Service {
 	t.Helper()
