@@ -12,7 +12,6 @@ package iuad_test
 import (
 	"context"
 	"fmt"
-	"io"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -243,8 +242,7 @@ func BenchmarkAddPapersBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	snap := filepath.Join(b.TempDir(), "base.snap")
-	err = core.WriteFileAtomic(snap, func(w io.Writer) error { return core.SaveService(w, base, 0) })
-	if err != nil {
+	if err := core.NewViewPublisher(base, 0).Pin().SaveFile(snap); err != nil {
 		b.Fatal(err)
 	}
 	const streamLen = 64

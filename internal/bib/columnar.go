@@ -53,16 +53,6 @@ func (c *Corpus) KeywordIDs(id PaperID) []intern.ID {
 	return c.kwIDs[c.kwOff[id]:c.kwOff[id+1]]
 }
 
-// PapersWithNameID returns the papers whose co-author list contains the
-// interned name id. Owned by the corpus; do not mutate.
-func (c *Corpus) PapersWithNameID(id intern.ID) []PaperID {
-	c.mustBeFrozen("PapersWithNameID")
-	if id < 0 || int(id) >= len(c.byNameID) {
-		return nil
-	}
-	return c.byNameID[id]
-}
-
 // VenueFrequencyID is VenueFrequency keyed by interned ID.
 func (c *Corpus) VenueFrequencyID(id intern.ID) int {
 	c.mustBeFrozen("VenueFrequencyID")

@@ -64,7 +64,7 @@ func TestColumnarMatchesStrings(t *testing.T) {
 		if !ok {
 			t.Fatalf("name %q not interned", n)
 		}
-		a, b := c.PapersWithName(n), c.PapersWithNameID(id)
+		a, b := c.PapersWithName(n), c.byNameID[id]
 		if fmt.Sprint(a) != fmt.Sprint(b) {
 			t.Fatalf("name %q: %v vs %v", n, a, b)
 		}
@@ -114,8 +114,8 @@ func TestColumnarLateIntern(t *testing.T) {
 	if got := c.VenueFrequencyID(vid); got != 0 {
 		t.Fatalf("late venue freq=%d want 0", got)
 	}
-	nid := c.NameTable().Intern("New Person")
-	if got := c.PapersWithNameID(nid); got != nil {
+	c.NameTable().Intern("New Person")
+	if got := c.PapersWithName("New Person"); got != nil {
 		t.Fatalf("late name papers=%v want nil", got)
 	}
 	// Names() still reports only the frozen corpus names.

@@ -74,26 +74,6 @@ func (l *DBLPLabels) Len() int {
 	return len(l.keys)
 }
 
-// KeyOf returns the DBLP author key of identity id (the suffixed name
-// as printed in the dump), or "" when out of range.
-func (l *DBLPLabels) KeyOf(id AuthorID) string {
-	if l == nil || id < 0 || int(id) >= len(l.keys) {
-		return ""
-	}
-	return l.keys[id]
-}
-
-// IDOf returns the identity of a DBLP author key, or UnknownAuthor.
-func (l *DBLPLabels) IDOf(key string) AuthorID {
-	if l == nil {
-		return UnknownAuthor
-	}
-	if id, ok := l.ids[key]; ok {
-		return id
-	}
-	return UnknownAuthor
-}
-
 // intern returns the identity of key, assigning the next dense ID on
 // first sight.
 func (l *DBLPLabels) intern(key string) AuthorID {

@@ -84,14 +84,8 @@ func TestParseDBLP(t *testing.T) {
 		t.Fatalf("Labels.Len=%d, want 4 distinct identities", stats.Labels.Len())
 	}
 	id := p.TruthAt(1)
-	if key := stats.Labels.KeyOf(id); key != "Bo Chen 0002" {
+	if key := stats.Labels.keys[id]; key != "Bo Chen 0002" {
 		t.Fatalf("identity key of slot 0/1 = %q, want pre-strip suffix kept", key)
-	}
-	if stats.Labels.IDOf("Bo Chen 0002") != id {
-		t.Fatal("IDOf/KeyOf disagree")
-	}
-	if stats.Labels.IDOf("never seen") != UnknownAuthor {
-		t.Fatal("unknown key should map to UnknownAuthor")
 	}
 }
 

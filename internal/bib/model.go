@@ -84,16 +84,6 @@ func (p *Paper) TruthAt(i int) AuthorID {
 	return p.Truth[i]
 }
 
-// HasAuthor reports whether name appears in the co-author list.
-func (p *Paper) HasAuthor(name string) bool {
-	for _, a := range p.Authors {
-		if a == name {
-			return true
-		}
-	}
-	return false
-}
-
 // AuthorIndex returns the slot index of name in the co-author list, or -1.
 func (p *Paper) AuthorIndex(name string) int {
 	for i, a := range p.Authors {
@@ -287,16 +277,6 @@ func (c *Corpus) WordFrequency(w string) int {
 		return 0
 	}
 	return c.WordFrequencyID(id)
-}
-
-// AuthorPaperPairs counts author-slot occurrences over the whole corpus
-// (the paper reports 2,393,969 for its DBLP snapshot).
-func (c *Corpus) AuthorPaperPairs() int {
-	total := 0
-	for i := range c.papers {
-		total += len(c.papers[i].Authors)
-	}
-	return total
 }
 
 // Labeled reports whether every paper carries ground-truth labels.

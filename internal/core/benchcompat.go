@@ -1,8 +1,10 @@
 package core
 
-// This file keeps the four names the benchmark's traced run compiles
-// against from before the serving layer had a single layout. Product
-// code calls none of them.
+import "io"
+
+// This file keeps the five names the benchmark's traced run compiles
+// against from before the serving layer had a single layout and a single
+// snapshot writer. Product code calls none of them.
 
 // ShardSeed was one shard's restored serving counters.
 //
@@ -40,4 +42,12 @@ func NewShardedViewPublisher(pl *Pipeline, epoch uint64, shards int, seeds []Sha
 func OpenServiceSnapshot(path string, allowPartial bool) (*Pipeline, uint64, []ShardSeed, *RecoveryReport, error) {
 	pl, epoch, err := LoadServiceSnapshot(path)
 	return pl, epoch, nil, nil, err
+}
+
+// SaveService writes the base snapshot of a pipeline at an epoch.
+//
+// Deprecated: bench/trace.go calls it; ROADMAP item 1(b) deletes it.
+// Use NewViewPublisher(pl, epoch).Pin().Encode.
+func SaveService(w io.Writer, pl *Pipeline, epoch uint64) error {
+	return NewViewPublisher(pl, epoch).Pin().Encode(w)
 }

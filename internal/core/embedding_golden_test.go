@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -8,16 +9,24 @@ import (
 	"runtime"
 	"testing"
 
+	"iuad/internal/snapshot"
 	"iuad/internal/synth"
 	"iuad/internal/textvec"
 )
 
 // embeddingHash is FNV-64a over the little-endian bit patterns of every
-// vector, in Words() order.
+// vector, in vocabulary order (most frequent first: the order the
+// snapshot encoding lists the words in).
 func embeddingHash(emb *textvec.Embeddings) string {
+	var enc bytes.Buffer
+	sw := snapshot.NewWriter(&enc, 0)
+	emb.EncodeSnapshot(sw)
+	sw.Close()
+	sr, _ := snapshot.NewReader(&enc, 0)
+	sr.Int() // dim
 	h := fnv.New64a()
 	var buf [4]byte
-	for _, w := range emb.Words() {
+	for _, w := range sr.Strings() {
 		v, _ := emb.Vector(w)
 		for _, x := range v {
 			binary.LittleEndian.PutUint32(buf[:], math.Float32bits(x))

@@ -18,7 +18,8 @@ import (
 type Pipeline struct {
 	Corpus *bib.Corpus
 	Cfg    Config
-	// SCN is the stage-1 stable collaboration network.
+	// SCN is the stage-1 stable collaboration network. Only a fresh fit
+	// holds it: ReleaseFitState drops it, and a base never carries it.
 	SCN *Network
 	// GCN is the stage-2 global collaboration network (merged vertices +
 	// recovered collaborative relations).
@@ -29,7 +30,8 @@ type Pipeline struct {
 	// Emb holds the title-keyword vectors behind γ³.
 	Emb *textvec.Embeddings
 	// TrainingPairs is how many candidate pairs the EM fit consumed
-	// (diagnostics for the §V-F sampling strategy).
+	// (diagnostics for the §V-F sampling strategy); 0 after
+	// ReleaseFitState and on a loaded pipeline.
 	TrainingPairs int
 	// CalibratedDelta is the self-calibrated decision threshold (the
 	// (1−FalseMatchRate) quantile of known-different anchor scores);
@@ -341,14 +343,28 @@ func (st *refineState) carry(out *Network, remap []int, scored []ScoredPair, wlI
 }
 
 // ScoredPairs exposes the candidate pairs with their matching scores.
+// Only a fresh fit (Run, BuildGCN) retains them: it is nil after
+// ReleaseFitState and on a pipeline loaded from a base.
 func (pl *Pipeline) ScoredPairs() []ScoredPair { return pl.scored }
 
 // RemergeAt rebuilds a GCN from the retained pair scores with a different
 // decision-threshold offset (relative to the calibrated operating point),
 // without retraining — used by the Fig. 6 threshold sweeps. The
-// pipeline's own GCN is left untouched.
+// pipeline's own GCN is left untouched. A pipeline without the scores
+// (see ScoredPairs) returns nil.
 func (pl *Pipeline) RemergeAt(deltaOffset float64) *Network {
+	if pl.SCN == nil {
+		return nil
+	}
 	return pl.mergeAt(pl.CalibratedDelta + deltaOffset)
+}
+
+// ReleaseFitState drops what only the fit and its offline analyses
+// read — the SCN, TrainingPairs, the retained pair scores and the forced
+// merges — so the pipeline holds what a base snapshot holds: the serving
+// state of §V-E (GCN, model, δ) and the corpus behind it.
+func (pl *Pipeline) ReleaseFitState() {
+	pl.SCN, pl.TrainingPairs, pl.scored, pl.forcedMerges = nil, 0, nil, nil
 }
 
 func (pl *Pipeline) mergeAt(delta float64) *Network {

@@ -66,7 +66,7 @@ func TestPipelinePartitionProperty(t *testing.T) {
 			nv := net.Verts[key[1]].Name
 			for _, pid := range papers {
 				p := d.Corpus.Paper(pid)
-				if !p.HasAuthor(nu) || !p.HasAuthor(nv) {
+				if p.AuthorIndex(nu) < 0 || p.AuthorIndex(nv) < 0 {
 					t.Fatalf("seed %d: edge %v paper %d lacks endpoint names",
 						seed, key, pid)
 				}

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"iuad/internal/bib"
@@ -20,16 +19,22 @@ import (
 )
 
 // The base snapshot is the one persisted format: magic, BaseVersion,
-// the serving epoch, the pipeline body, then a CRC-32C of every byte
-// before it. It is the one version written and read. Bump BaseVersion on
-// ANY layout change in this file or the EncodeSnapshot methods it calls,
-// and never reuse a retired version: 1 (the pipeline snapshot), 1001
-// (the base without the trailer) and 1002/1003 (the sharded composite)
-// are refused with a *snapshot.VersionError naming the last build that
-// reads them (DESIGN.md §6).
+// the serving epoch, the serving body, then a CRC-32C of every byte
+// before it. Bump BaseVersion on ANY layout change in this file, in
+// View.encodeNetwork or in the EncodeSnapshot methods they call, and
+// never reuse a retired version: 1 (the pipeline snapshot), 1001 (the
+// base without the trailer) and 1002/1003 (the sharded composite) are
+// refused with a *snapshot.VersionError naming the last build that reads
+// them (DESIGN.md §6).
 const (
-	BaseVersion = 1004
-	crcLen      = 4
+	BaseVersion = 1005
+	// baseVersion1004 is the base that also carried the fit-only state:
+	// the SCN, TrainingPairs, the retained pair scores and the forced
+	// merges. It is read, and those sections are skipped, so that a
+	// file or a journal directory upgrades by being opened and closed
+	// once. Nothing writes it; the next layout change retires it.
+	baseVersion1004 = 1004
+	crcLen          = 4
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -49,25 +54,13 @@ func (e *SnapshotError) Error() string {
 
 func (e *SnapshotError) Unwrap() error { return e.Err }
 
-// SaveService writes the base snapshot of a pipeline at an epoch by
-// walking its maps: the reference BasePin.Encode must match byte for
-// byte. The view and the profile cache are derived state and carry no
-// bytes (AddPaper invalidates every profile an update can affect, so a
-// cold cache is equivalent).
-func SaveService(w io.Writer, pl *Pipeline, epoch uint64) error {
-	if pl == nil || pl.GCN == nil || pl.SCN == nil {
-		return fmt.Errorf("core: SaveService before BuildGCN")
-	}
-	return writeBase(w, pl, epoch, liveBody(pl))
-}
-
 // writeBase is the one writer of the base framing; the CRC-32C trailer
 // is little-endian.
-func writeBase(w io.Writer, pl *Pipeline, epoch uint64, b bodyParts) error {
+func writeBase(w io.Writer, p *BasePin) error {
 	crc := crc32.New(castagnoli)
 	sw := snapshot.NewWriter(io.MultiWriter(w, crc), BaseVersion)
-	sw.Uvarint(epoch)
-	if err := encodePipelineBody(sw, pl, b); err != nil {
+	sw.Uvarint(p.Epoch())
+	if err := encodePipelineBody(sw, p); err != nil {
 		return err
 	}
 	if err := sw.Close(); err != nil {
@@ -77,32 +70,13 @@ func writeBase(w io.Writer, pl *Pipeline, epoch uint64, b bodyParts) error {
 	return err
 }
 
-// bodyParts is the part of a pipeline body that ingest keeps growing:
-// the three intern-table tails, the incremental stream and the GCN.
-// The reference writers read them off the live pipeline (liveBody); the
-// pinned-view writer (view_snapshot.go) passes the length-bounded
-// headers it pinned under the service's write lock. Everything else in
-// the body is immutable once the fit is done.
-type bodyParts struct {
-	tails [3][]string // name, venue, word: symbols interned after Freeze
-	extra []bib.Paper
-	gcn   func(*snapshot.Writer)
-}
-
-// liveBody reads the growing parts off the pipeline itself.
-func liveBody(pl *Pipeline) bodyParts {
-	return bodyParts{
-		tails: [3][]string{pl.Corpus.NameTable().Tail(), pl.Corpus.VenueTable().Tail(), pl.Corpus.WordTable().Tail()},
-		extra: pl.extra,
-		gcn:   func(sw *snapshot.Writer) { encodeNetwork(sw, pl.GCN) },
-	}
-}
-
-// encodePipelineBody writes the pipeline body — config, corpus,
-// intern-table tails, embeddings, SCN, GCN, model, δ, retained pair
-// scores, forced merges and the incremental stream — onto an
-// already-opened writer.
-func encodePipelineBody(sw *snapshot.Writer, pl *Pipeline, b bodyParts) error {
+// encodePipelineBody writes the serving body of a pinned epoch — config,
+// corpus, intern-table tails, embeddings, GCN, model, δ and the
+// incremental stream — onto an already-opened writer. The tails, the
+// GCN and the stream come from the pin; everything else is immutable
+// once the fit is done.
+func encodePipelineBody(sw *snapshot.Writer, p *BasePin) error {
+	pl := p.pl
 	cfgJSON, err := json.Marshal(&pl.Cfg)
 	if err != nil {
 		return fmt.Errorf("core: marshal config: %w", err)
@@ -112,7 +86,7 @@ func encodePipelineBody(sw *snapshot.Writer, pl *Pipeline, b bodyParts) error {
 	pl.Corpus.EncodeSnapshot(sw)
 	// Symbols interned after Freeze (incremental stream); replaying them
 	// in order on load reproduces identical IDs.
-	for _, tail := range b.tails {
+	for _, tail := range p.tails {
 		sw.Strings(tail)
 	}
 
@@ -120,30 +94,17 @@ func encodePipelineBody(sw *snapshot.Writer, pl *Pipeline, b bodyParts) error {
 	if pl.Emb != nil {
 		pl.Emb.EncodeSnapshot(sw)
 	}
-	encodeNetwork(sw, pl.SCN)
-	b.gcn(sw)
+	p.view.encodeNetwork(sw)
 	sw.Bool(pl.Model != nil)
 	if pl.Model != nil {
 		pl.Model.EncodeSnapshot(sw)
 	}
 	sw.F64(pl.CalibratedDelta)
-	sw.Int(pl.TrainingPairs)
 
-	sw.Int(len(pl.scored))
-	for _, sp := range pl.scored {
-		sw.Int(sp.A)
-		sw.Int(sp.B)
-		sw.F64(sp.Score)
-	}
-	sw.Int(len(pl.forcedMerges))
-	for _, fm := range pl.forcedMerges {
-		sw.Int(fm[0])
-		sw.Int(fm[1])
-	}
-
-	sw.Int(len(b.extra))
-	for i := range b.extra {
-		bib.EncodePaperSnapshot(sw, &b.extra[i])
+	extra := p.view.extra
+	sw.Int(len(extra))
+	for i := range extra {
+		bib.EncodePaperSnapshot(sw, &extra[i])
 	}
 	return sw.Err()
 }
@@ -157,7 +118,12 @@ func LoadServiceSnapshot(path string) (*Pipeline, uint64, error) {
 		return nil, 0, err
 	}
 	defer f.Close()
-	pl, epoch, err := readBase(f)
+	fi, err := f.Stat()
+	var pl *Pipeline
+	var epoch uint64
+	if err == nil {
+		pl, epoch, err = readBase(f, fi.Size())
+	}
 	if err != nil {
 		return nil, 0, &SnapshotError{Path: path, Err: err}
 	}
@@ -170,15 +136,11 @@ func LoadServiceSnapshot(path string) (*Pipeline, uint64, error) {
 // base is refused at the cost of a read and no count in it sizes an
 // allocation. The decode then reads the file again; neither pass holds
 // a copy of it.
-func readBase(f *os.File) (*Pipeline, uint64, error) {
-	fi, err := f.Stat()
-	if err != nil {
+func readBase(f io.ReaderAt, size int64) (*Pipeline, uint64, error) {
+	if _, err := snapshot.NewReader(io.NewSectionReader(f, 0, size), BaseVersion, baseVersion1004); err != nil {
 		return nil, 0, err
 	}
-	if _, err := snapshot.NewReader(f, BaseVersion); err != nil {
-		return nil, 0, err
-	}
-	body := fi.Size() - crcLen
+	body := size - crcLen
 	crc := crc32.New(castagnoli)
 	if _, err := io.Copy(crc, io.NewSectionReader(f, 0, body)); err != nil {
 		return nil, 0, err
@@ -190,7 +152,7 @@ func readBase(f *os.File) (*Pipeline, uint64, error) {
 	if got, want := crc.Sum32(), binary.LittleEndian.Uint32(trailer[:]); got != want {
 		return nil, 0, fmt.Errorf("CRC-32C of %d bytes is %08x, the trailer says %08x", body, got, want)
 	}
-	sr, err := snapshot.NewReader(io.NewSectionReader(f, 0, body), BaseVersion)
+	sr, err := snapshot.NewReader(io.NewSectionReader(f, 0, body), BaseVersion, baseVersion1004)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -206,9 +168,10 @@ func readBase(f *os.File) (*Pipeline, uint64, error) {
 	return pl, epoch, nil
 }
 
-// decodePipelineBody reads the pipeline body from an already-opened
-// reader.
+// decodePipelineBody reads the serving body from an already-opened
+// reader. A 1004 body's fit-only sections are decoded and dropped.
 func decodePipelineBody(sr *snapshot.Reader) (*Pipeline, error) {
+	v1004 := sr.Version() == baseVersion1004
 	cfgJSON := sr.Bytes()
 	if err := sr.Err(); err != nil {
 		return nil, err
@@ -248,9 +211,10 @@ func decodePipelineBody(sr *snapshot.Reader) (*Pipeline, error) {
 			return nil, err
 		}
 	}
-	scn, err := decodeNetwork(sr, corpus)
-	if err != nil {
-		return nil, err
+	if v1004 {
+		if _, err := decodeNetwork(sr, corpus); err != nil { // the SCN
+			return nil, err
+		}
 	}
 	gcn, err := decodeNetwork(sr, corpus)
 	if err != nil {
@@ -265,23 +229,26 @@ func decodePipelineBody(sr *snapshot.Reader) (*Pipeline, error) {
 	pl := &Pipeline{
 		Corpus:          corpus,
 		Cfg:             cfg,
-		SCN:             scn,
 		GCN:             gcn,
 		Model:           model,
 		Emb:             emb,
 		CalibratedDelta: sr.F64(),
-		TrainingPairs:   sr.Int(),
 	}
-	ns := sr.Count("scored pairs")
-	// Grow by append with a per-iteration error check: a corrupt count
-	// must neither pre-allocate by the untrusted length nor spin through
-	// billions of no-op reads after the stream has latched an error.
-	for i := 0; i < ns && sr.Err() == nil; i++ {
-		pl.scored = append(pl.scored, ScoredPair{A: sr.Int(), B: sr.Int(), Score: sr.F64()})
-	}
-	nf := sr.Count("forced merges")
-	for i := 0; i < nf && sr.Err() == nil; i++ {
-		pl.forcedMerges = append(pl.forcedMerges, [2]int{sr.Int(), sr.Int()})
+	if v1004 {
+		// TrainingPairs, then the scored pairs and the forced merges.
+		// Each loop checks the error per iteration: a corrupt count must
+		// not spin through billions of no-op reads after the stream has
+		// latched an error.
+		sr.Int()
+		for i, n := 0, sr.Count("scored pairs"); i < n && sr.Err() == nil; i++ {
+			sr.Int()
+			sr.Int()
+			sr.F64()
+		}
+		for i, n := 0, sr.Count("forced merges"); i < n && sr.Err() == nil; i++ {
+			sr.Int()
+			sr.Int()
+		}
 	}
 
 	// Incremental stream: re-derive the columnar views by looking the
@@ -319,17 +286,11 @@ func decodePipelineBody(sr *snapshot.Reader) (*Pipeline, error) {
 	if err := sr.Err(); err != nil {
 		return nil, err
 	}
-	// Paper IDs inside the networks can only be range-checked once the
+	// Paper IDs inside the GCN can only be range-checked once the
 	// incremental stream length is known; a corrupt ID must be a decode
 	// error here, not an index panic at serving time.
-	totalPapers := corpus.Len() + len(pl.extra)
-	for _, net := range []struct {
-		name string
-		n    *Network
-	}{{"SCN", pl.SCN}, {"GCN", pl.GCN}} {
-		if err := validatePaperIDs(net.n, totalPapers); err != nil {
-			return nil, fmt.Errorf("core: snapshot %s: %w", net.name, err)
-		}
+	if err := validatePaperIDs(pl.GCN, corpus.Len()+len(pl.extra)); err != nil {
+		return nil, fmt.Errorf("core: snapshot GCN: %w", err)
 	}
 	pl.sim = newSimilarityComputer(pl.GCN, pl, pl.Emb, &pl.Cfg)
 	return pl, nil
@@ -364,55 +325,7 @@ func validatePaperIDs(n *Network, total int) error {
 	return nil
 }
 
-// encodeNetwork writes a network: vertices (interned name, isolation,
-// paper set), collaboration edges with their paper sets (every G edge
-// has an EdgePapers entry by construction of addEdge), and the slot
-// assignment. Map-backed state is emitted in sorted order so identical
-// networks always produce identical bytes.
-func encodeNetwork(w *snapshot.Writer, n *Network) {
-	w.Int(len(n.Verts))
-	for i := range n.Verts {
-		v := &n.Verts[i]
-		w.Varint(int64(v.NameID))
-		w.Bool(v.Isolated)
-		encodePaperIDs(w, v.Papers)
-	}
-
-	keys := make([][2]int, 0, len(n.EdgePapers))
-	for key := range n.EdgePapers {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	w.Int(len(keys))
-	for _, key := range keys {
-		w.Int(key[0])
-		w.Int(key[1])
-		encodePaperIDs(w, n.EdgePapers[key])
-	}
-
-	slots := make([]Slot, 0, len(n.SlotVertex))
-	for s := range n.SlotVertex {
-		slots = append(slots, s)
-	}
-	sort.Slice(slots, func(i, j int) bool {
-		if slots[i].Paper != slots[j].Paper {
-			return slots[i].Paper < slots[j].Paper
-		}
-		return slots[i].Index < slots[j].Index
-	})
-	w.Int(len(slots))
-	for _, s := range slots {
-		w.Varint(int64(s.Paper))
-		w.Int(s.Index)
-		w.Int(n.SlotVertex[s])
-	}
-}
-
+// decodeNetwork reads a network in View.encodeNetwork's layout.
 func decodeNetwork(r *snapshot.Reader, corpus *bib.Corpus) (*Network, error) {
 	n := newNetwork(corpus)
 	names := corpus.NameTable()

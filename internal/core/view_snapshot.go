@@ -8,18 +8,19 @@ import (
 	"iuad/internal/snapshot"
 )
 
-// This file writes base snapshots from a pinned View instead of the
-// live pipeline, so a base compaction holds the service's write lock
-// only for Pin and encodes beside later commits. That is sound because
-// a View is deeply immutable and carries the whole GCN at its epoch,
-// the intern-table tails and the incremental stream are append-only,
-// and ingest writes nothing else a snapshot holds (Cfg, corpus, Emb,
-// SCN, Model, δ, scored, forcedMerges). The one thing a View does not
-// store is per-edge paper sets: recoverRelations and addPaper make every
-// pair of slots of a paper an edge, so EdgePapers(u,v) is exactly
-// Papers(u) ∩ Papers(v). The output is byte-identical to the reference
-// writer (SaveService) at the same epoch;
-// TestPinnedSnapshotMatchesReference pins it.
+// This file writes base snapshots from a pinned View, so a base
+// compaction holds the service's write lock only for Pin and encodes
+// beside later commits. BasePin.Encode is the one writer of the base:
+// Save, SaveFile, Close and every compaction call it. That is sound
+// because a View is deeply immutable and carries the whole GCN at its
+// epoch, the intern-table tails and the incremental stream are
+// append-only, and ingest writes nothing else a snapshot holds (Cfg,
+// corpus, Emb, Model, δ). The one thing a View does not store is
+// per-edge paper sets: recoverRelations and addPaper make every pair of
+// slots of a paper an edge, so EdgePapers(u,v) is exactly Papers(u) ∩
+// Papers(v). A pinned epoch encodes to the same bytes as a View built
+// afresh from the pipeline at that epoch, and its decode has the live
+// GCN; TestPinnedSnapshotMatchesReference pins both.
 
 // BasePin is the state of one epoch pinned for a snapshot.
 type BasePin struct {
@@ -45,10 +46,7 @@ func (vp *ViewPublisher) Pin() *BasePin {
 func (p *BasePin) Epoch() uint64 { return p.view.Epoch() }
 
 // Encode writes the base snapshot (BaseVersion) of the pinned epoch.
-func (p *BasePin) Encode(w io.Writer) error {
-	body := bodyParts{tails: p.tails, extra: p.view.extra, gcn: p.view.encodeNetwork}
-	return writeBase(w, p.pl, p.Epoch(), body)
-}
+func (p *BasePin) Encode(w io.Writer) error { return writeBase(w, p) }
 
 // SaveFile writes the pinned epoch to path crash-safely (see
 // WriteFileAtomic).
@@ -56,8 +54,7 @@ func (p *BasePin) SaveFile(path string) error {
 	return WriteFileAtomic(path, p.Encode)
 }
 
-// eachEdge visits every collaboration edge once, ascending by (lo, hi)
-// — the order the reference writer sorts EdgePapers keys into.
+// eachEdge visits every collaboration edge once, ascending by (lo, hi).
 func (v *View) eachEdge(fn func(u, x int)) {
 	for u := 0; u < v.stats.Authors; u++ {
 		nbrs, _ := v.Coauthors(u)
@@ -81,7 +78,11 @@ func (v *View) eachSlot(fn func(s Slot, vert int)) {
 	}
 }
 
-// encodeNetwork writes the pinned GCN in encodeNetwork's layout.
+// encodeNetwork writes the pinned GCN: its vertices (interned name,
+// isolation, paper set), its collaboration edges ascending by (lo, hi)
+// with their paper sets, and its assigned slots ascending by (paper,
+// index) with their vertices. The order is fixed, so equal networks
+// encode to equal bytes.
 func (v *View) encodeNetwork(w *snapshot.Writer) {
 	w.Int(v.stats.Authors)
 	for id := 0; id < v.stats.Authors; id++ {

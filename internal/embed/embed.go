@@ -109,6 +109,3 @@ func (e *Embedding) Distance(u, v int) float64 {
 	}
 	return d
 }
-
-// Len returns the number of vertices covered.
-func (e *Embedding) Len() int { return len(e.vecs) }

@@ -30,8 +30,8 @@ func fastConfig() Config {
 
 func TestDeepWalkSeparatesComponents(t *testing.T) {
 	e := DeepWalk(twoCliques(), fastConfig())
-	if e.Len() != 10 {
-		t.Fatalf("Len=%d", e.Len())
+	if len(e.vecs) != 10 {
+		t.Fatalf("vertices=%d", len(e.vecs))
 	}
 	// Average within-clique cosine must exceed cross-clique cosine.
 	var within, cross float64

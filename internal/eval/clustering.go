@@ -112,27 +112,6 @@ func (a *Accumulator) AddBlock(instances []Instance) {
 	}
 }
 
-// Merge folds another accumulator's sums into a (for sharded evaluation;
-// blocks are independent, so any partition merges exactly).
-func (a *Accumulator) Merge(b *Accumulator) {
-	a.Pairs.TP += b.Pairs.TP
-	a.Pairs.FP += b.Pairs.FP
-	a.Pairs.FN += b.Pairs.FN
-	a.Pairs.TN += b.Pairs.TN
-	a.Unlabeled += b.Unlabeled
-	a.instances += b.instances
-	a.blocks += b.blocks
-	a.b3p += b.b3p
-	a.b3r += b.b3r
-	a.purity += b.purity
-}
-
-// Instances returns the number of labeled instances folded in.
-func (a *Accumulator) Instances() int64 { return a.instances }
-
-// Blocks returns the number of blocks with at least one labeled instance.
-func (a *Accumulator) Blocks() int64 { return a.blocks }
-
 // ClusterMetrics bundles every clustering measurement of one evaluation:
 // the pairwise micro metrics of §VI-A2 plus B³ and cluster purity.
 type ClusterMetrics struct {

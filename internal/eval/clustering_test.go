@@ -267,21 +267,6 @@ func TestAccumulatorScratchReuse(t *testing.T) {
 	}
 }
 
-func TestAccumulatorMerge(t *testing.T) {
-	blkA := []Instance{{Cluster: 0, Truth: 1}, {Cluster: 0, Truth: 1}, {Cluster: 1, Truth: 2}}
-	blkB := []Instance{{Cluster: 0, Truth: 1}, {Cluster: 0, Truth: 2}, {Cluster: 2, Truth: -1}}
-	var whole Accumulator
-	whole.AddBlock(blkA)
-	whole.AddBlock(blkB)
-	var shardA, shardB Accumulator
-	shardA.AddBlock(blkA)
-	shardB.AddBlock(blkB)
-	shardA.Merge(&shardB)
-	if shardA.Metrics() != whole.Metrics() {
-		t.Fatalf("merged=%+v whole=%+v", shardA.Metrics(), whole.Metrics())
-	}
-}
-
 // TestAddNameExcludesUnlabeled locks the PairCounts-level exclusion in:
 // unlabeled instances contribute no pairs at all.
 func TestAddNameExcludesUnlabeled(t *testing.T) {

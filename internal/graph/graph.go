@@ -91,17 +91,6 @@ func (g *Graph) Degree(v int) int {
 	return len(g.adj[v])
 }
 
-// Neighbors returns the sorted neighbor IDs of v. The slice is freshly
-// allocated.
-func (g *Graph) Neighbors(v int) []int {
-	g.check(v)
-	out := make([]int, len(g.adj[v]))
-	for i, u := range g.adj[v] {
-		out[i] = int(u)
-	}
-	return out
-}
-
 // VisitNeighbors calls fn for each neighbor of v in ascending order.
 func (g *Graph) VisitNeighbors(v int, fn func(u int)) {
 	g.check(v)
@@ -123,35 +112,6 @@ func (g *Graph) check(v int) {
 	if v < 0 || v >= len(g.adj) {
 		panic(fmt.Sprintf("graph: vertex %d out of range [0,%d)", v, len(g.adj)))
 	}
-}
-
-// Components returns the connected-component ID of every vertex plus the
-// number of components. IDs are dense, assigned in order of discovery.
-func (g *Graph) Components() (comp []int, count int) {
-	comp = make([]int, len(g.adj))
-	for i := range comp {
-		comp[i] = -1
-	}
-	var stack []int
-	for start := range g.adj {
-		if comp[start] != -1 {
-			continue
-		}
-		comp[start] = count
-		stack = append(stack[:0], start)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, u := range g.adj[v] {
-				if comp[u] == -1 {
-					comp[u] = count
-					stack = append(stack, int(u))
-				}
-			}
-		}
-		count++
-	}
-	return comp, count
 }
 
 // VisitTrianglePairs calls fn(u, w) for every triangle (v, u, w), where

@@ -52,9 +52,6 @@ type Graph struct {
 // Epoch returns the publish epoch this graph was compiled from.
 func (g *Graph) Epoch() uint64 { return g.epoch }
 
-// NumVertices returns the number of vertices.
-func (g *Graph) NumVertices() int { return g.n }
-
 // Has reports whether id is a vertex of the graph.
 func (g *Graph) Has(id int) bool { return id >= 0 && id < g.n }
 

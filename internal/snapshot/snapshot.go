@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Magic identifies a snapshot stream.
@@ -137,14 +138,6 @@ func (w *Writer) Strings(s []string) {
 	}
 }
 
-// Int32s writes a length-prefixed []int32 as signed varints.
-func (w *Writer) Int32s(s []int32) {
-	w.Uvarint(uint64(len(s)))
-	for _, x := range s {
-		w.Varint(int64(x))
-	}
-}
-
 // F64s writes a length-prefixed []float64 (bit patterns).
 func (w *Writer) F64s(s []float64) {
 	w.Uvarint(uint64(len(s)))
@@ -173,8 +166,9 @@ func (w *Writer) F32s(s []float32) {
 // code runs straight-line and checks Err at the end. After any error,
 // value-returning methods yield zero values.
 type Reader struct {
-	r   *bufio.Reader
-	err error
+	r       *bufio.Reader
+	err     error
+	version uint64
 }
 
 // ErrFormat reports a stream that is not a snapshot, or that has bytes
@@ -215,19 +209,24 @@ func (e *VersionError) Error() string {
 }
 
 // NewReader validates the magic and version and returns a reader.
-// wantVersion is the only version the caller understands; any other is
-// a *VersionError.
-func NewReader(r io.Reader, wantVersion uint64) (*Reader, error) {
+// want is the version the caller writes; also lists the older versions
+// it still reads (Version tells them apart). Any other version is a
+// *VersionError.
+func NewReader(r io.Reader, want uint64, also ...uint64) (*Reader, error) {
 	sr := &Reader{r: bufio.NewReader(r)}
 	v, err := sr.header()
-	if err == nil && v != wantVersion {
-		err = &VersionError{Version: v, Want: wantVersion, LastBuild: retired[v]}
+	if err == nil && v != want && !slices.Contains(also, v) {
+		err = &VersionError{Version: v, Want: want, LastBuild: retired[v]}
 	}
 	if err != nil {
 		return nil, err
 	}
+	sr.version = v
 	return sr, nil
 }
+
+// Version returns the stream's format version.
+func (r *Reader) Version() uint64 { return r.version }
 
 func (r *Reader) header() (uint64, error) {
 	magic := make([]byte, len(Magic))

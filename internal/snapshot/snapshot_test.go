@@ -23,7 +23,9 @@ func TestRoundTrip(t *testing.T) {
 	w.String("")
 	w.Bytes([]byte{1, 2, 3})
 	w.Strings([]string{"a", "", "c"})
-	w.Int32s([]int32{-5, 5})
+	w.Uvarint(2) // an []int32 is a length and signed varints
+	w.Varint(-5)
+	w.Varint(5)
 	w.F64s([]float64{1.5, -0.25})
 	w.F32s([]float32{float32(math.E), -0})
 	if err := w.Close(); err != nil {
@@ -134,6 +136,13 @@ func TestBadMagicAndVersion(t *testing.T) {
 	var ve *VersionError
 	if _, err := NewReader(&buf, 1); !errors.As(err, &ve) || ve.Version != 2 || ve.Want != 1 || ve.LastBuild != "" {
 		t.Fatalf("version mismatch = %v, want a *VersionError for 2 with no last build", err)
+	}
+	buf.Reset()
+	if err := NewWriter(&buf, 2).Close(); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := NewReader(&buf, 3, 2); err != nil || r.Version() != 2 {
+		t.Fatalf("an older version the caller still reads = %v, want it read as version 2", err)
 	}
 	buf.Reset()
 	if err := NewWriter(&buf, 2001).Close(); err != nil {

@@ -62,14 +62,8 @@ type Embeddings struct {
 	mean  []float64 // set once by Train and DecodeEmbeddingsSnapshot; see Mean
 }
 
-// Dim returns the vector dimensionality.
-func (e *Embeddings) Dim() int { return e.dim }
-
 // Len returns the vocabulary size.
 func (e *Embeddings) Len() int { return len(e.words) }
-
-// Words returns the vocabulary, most frequent first.
-func (e *Embeddings) Words() []string { return e.words }
 
 // Vector returns the embedding of w and whether w is in vocabulary. The
 // returned slice is owned by the Embeddings; do not mutate.

@@ -80,8 +80,8 @@ func TestVocabularyFiltering(t *testing.T) {
 		t.Fatalf("vocab size=%d, want 2", e.Len())
 	}
 	// Most frequent first.
-	if e.Words()[0] != "common" {
-		t.Fatalf("Words()[0]=%q", e.Words()[0])
+	if e.words[0] != "common" {
+		t.Fatalf("words[0]=%q", e.words[0])
 	}
 }
 
@@ -352,12 +352,12 @@ func TestTrainMatchesReference(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			want := trainReference(tc.corpus, tc.cfg)
 			got := Train(tc.corpus, tc.cfg)
-			if got.Len() != want.Len() || got.Dim() != want.Dim() {
-				t.Fatalf("shape %d×%d, want %d×%d", got.Len(), got.Dim(), want.Len(), want.Dim())
+			if got.Len() != want.Len() || got.dim != want.dim {
+				t.Fatalf("shape %d×%d, want %d×%d", got.Len(), got.dim, want.Len(), want.dim)
 			}
-			for i, w := range want.Words() {
-				if got.Words()[i] != w {
-					t.Fatalf("word %d is %q, want %q", i, got.Words()[i], w)
+			for i, w := range want.words {
+				if got.words[i] != w {
+					t.Fatalf("word %d is %q, want %q", i, got.words[i], w)
 				}
 				gv, _ := got.Vector(w)
 				wv, _ := want.Vector(w)

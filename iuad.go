@@ -113,7 +113,8 @@
 // # Snapshots
 //
 // The one persisted format is the base snapshot: the serving epoch and
-// the whole fitted state, closed by a CRC-32C. Service.Save / SaveFile /
+// the serving state (corpus, embeddings, GCN, model, δ and the streamed
+// papers; no stage-1 SCN or pair scores), closed by a CRC-32C. Service.Save / SaveFile /
 // Close (with WithSnapshot) and the journal's compactions write it; Open
 // restores it with no EM re-run and bit-identical serving, and refuses
 // a damaged one with *SnapshotError instead of refitting over it (one in

@@ -98,7 +98,8 @@ type options struct {
 type Option func(*options)
 
 // WithConfig replaces the pipeline configuration used when Open fits a
-// corpus (default: DefaultConfig). WithWorkers applies on top.
+// corpus (default: DefaultConfig). WithWorkers applies on top. NewService
+// refuses it: its pipeline is already fitted.
 func WithConfig(cfg Config) Option {
 	return func(o *options) { o.cfg = cfg; o.cfgSet = true }
 }
@@ -138,7 +139,8 @@ func WithSnapshot(path string) Option {
 //
 // The directory admits ONE live service at a time: a second Open
 // fails fast with ErrJournalLocked. Mutually exclusive with
-// WithSnapshot (the journal owns its own base snapshot).
+// WithSnapshot (the journal owns its own base snapshot). Open only:
+// NewService refuses it.
 func WithJournal(dir string) Option {
 	return func(o *options) { o.journalDir = dir }
 }
@@ -225,7 +227,14 @@ func fitCorpus(corpus *Corpus, o *options) (*core.Pipeline, error) {
 	if o.workersSet {
 		cfg.Workers = o.workers
 	}
-	return core.Run(corpus, cfg)
+	pl, err := core.Run(corpus, cfg)
+	if err != nil {
+		return nil, err
+	}
+	// Serve what a base load would: a fitted and a recovered service
+	// hold the same state.
+	pl.ReleaseFitState()
+	return pl, nil
 }
 
 // openJournaled is the WithJournal recovery path: lock the journal
@@ -322,6 +331,10 @@ func outcomeOf(res [][]core.Assignment) []int {
 // the base snapshot Open(nil, WithSnapshot(path)) restores. The
 // pipeline must not be used directly while the service is serving: the
 // service owns all writes from here on.
+//
+// It refuses WithConfig, which only shapes a fit, and WithJournal or
+// WithJournalConfig: a journal replays onto the base Open loads or fits,
+// so only Open makes a journaled service.
 func NewService(pl *Pipeline, opts ...Option) (*Service, error) {
 	if pl == nil || pl.GCN == nil {
 		return nil, fmt.Errorf("iuad: NewService needs a fitted pipeline")
@@ -329,6 +342,12 @@ func NewService(pl *Pipeline, opts ...Option) (*Service, error) {
 	var o options
 	for _, opt := range opts {
 		opt(&o)
+	}
+	switch {
+	case o.cfgSet:
+		return nil, errors.New("iuad: NewService does not take WithConfig (the pipeline is already fitted)")
+	case o.journalDir != "":
+		return nil, errors.New("iuad: NewService does not take WithJournal or WithJournalConfig (open a journaled service with Open)")
 	}
 	return newService(pl, 0, &o), nil
 }
@@ -752,10 +771,12 @@ func (s *Service) JournalRecovery() *ReplayReport { return s.jrec }
 // core.view.ingest_wait_ms, delta_entries_per_publish and flattens.
 func (s *Service) Contention() core.ContentionStats { return s.pub.Contention() }
 
-// Pipeline exposes the underlying fitted pipeline for offline analysis
-// (threshold sweeps, evaluation). It must not be mutated — and not
-// read concurrently with service writes; the serving query surface is
-// the Service API.
+// Pipeline exposes the underlying fitted pipeline for offline
+// evaluation. A service from Open holds the serving state only (no SCN
+// and no pair scores, whether it fitted or loaded), so threshold sweeps
+// (RemergeAt) need the Pipeline Disambiguate returns. It must not be
+// mutated — and not read concurrently with service writes; the serving
+// query surface is the Service API.
 func (s *Service) Pipeline() *Pipeline { return s.pl }
 
 // authorAt materializes the Author record of vertex id from one

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -64,9 +66,10 @@ func dirBytes(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
-// assertPinnedMatchesReference saves svc through the pinned-view
-// encoder and through the map-walking reference writer at the same
-// epoch and requires identical bytes, streamed and on disk.
+// assertPinnedMatchesReference saves svc through its pinned view and
+// requires the bytes — streamed and on disk — to equal the encode of a
+// View built afresh from the pipeline at the same epoch, and the saved
+// base to decode to the live GCN.
 func assertPinnedMatchesReference(t *testing.T, svc *iuad.Service, when string) {
 	t.Helper()
 	pl, epoch := svc.Pipeline(), svc.Epoch()
@@ -74,38 +77,61 @@ func assertPinnedMatchesReference(t *testing.T, svc *iuad.Service, when string) 
 	if err := svc.Save(&got); err != nil {
 		t.Fatalf("%s: Save: %v", when, err)
 	}
-	if err := core.SaveService(&want, pl, epoch); err != nil {
-		t.Fatalf("%s: reference SaveService: %v", when, err)
+	if err := core.NewViewPublisher(pl, epoch).Pin().Encode(&want); err != nil {
+		t.Fatalf("%s: encode of a fresh view: %v", when, err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("%s: pinned stream (%d bytes) differs from the reference (%d bytes)", when, got.Len(), want.Len())
+		t.Fatalf("%s: pinned stream (%d bytes) differs from a fresh view's (%d bytes)", when, got.Len(), want.Len())
 	}
-	gotDir, wantDir := t.TempDir(), t.TempDir()
-	if err := svc.SaveFile(filepath.Join(gotDir, "s.snap")); err != nil {
+	path := filepath.Join(t.TempDir(), "s.snap")
+	if err := svc.SaveFile(path); err != nil {
 		t.Fatalf("%s: SaveFile: %v", when, err)
 	}
-	err := core.WriteFileAtomic(filepath.Join(wantDir, "s.snap"), func(w io.Writer) error {
-		return core.SaveService(w, pl, epoch)
-	})
+	if files := dirBytes(t, filepath.Dir(path)); len(files) != 1 || !bytes.Equal(files["s.snap"], want.Bytes()) {
+		t.Fatalf("%s: SaveFile left %d files, want s.snap alone with the fresh view's bytes", when, len(files))
+	}
+	loaded, loadedEpoch, err := core.LoadServiceSnapshot(path)
 	if err != nil {
-		t.Fatalf("%s: reference save: %v", when, err)
+		t.Fatalf("%s: load: %v", when, err)
 	}
-	gotFiles, wantFiles := dirBytes(t, gotDir), dirBytes(t, wantDir)
-	if len(gotFiles) != len(wantFiles) {
-		t.Fatalf("%s: pinned save wrote %d files, reference %d", when, len(gotFiles), len(wantFiles))
+	if loadedEpoch != epoch {
+		t.Fatalf("%s: loaded epoch %d, want %d", when, loadedEpoch, epoch)
 	}
-	for name, b := range wantFiles {
-		if !bytes.Equal(gotFiles[name], b) {
-			t.Fatalf("%s: file %s differs from the reference (%d vs %d bytes)", when, name, len(gotFiles[name]), len(b))
+	if err := sameNetwork(pl.GCN, loaded.GCN); err != nil {
+		t.Fatalf("%s: loaded GCN: %v", when, err)
+	}
+}
+
+// sameNetwork compares two networks structurally: vertices (name,
+// isolation, papers), adjacency, edge paper sets and slot assignments.
+func sameNetwork(a, b *iuad.Network) error {
+	if len(a.Verts) != len(b.Verts) {
+		return fmt.Errorf("%d vertices, want %d", len(b.Verts), len(a.Verts))
+	}
+	for i := range a.Verts {
+		va, vb := &a.Verts[i], &b.Verts[i]
+		if va.ID != vb.ID || va.NameID != vb.NameID || va.Name != vb.Name || va.Isolated != vb.Isolated || !slices.Equal(va.Papers, vb.Papers) {
+			return fmt.Errorf("vertex %d is %+v, want %+v", i, *vb, *va)
+		}
+		if na, nb := a.G.AppendNeighbors(i, nil), b.G.AppendNeighbors(i, nil); !slices.Equal(na, nb) {
+			return fmt.Errorf("vertex %d has neighbors %v, want %v", i, nb, na)
 		}
 	}
+	if !maps.EqualFunc(a.EdgePapers, b.EdgePapers, slices.Equal) {
+		return fmt.Errorf("edge paper sets differ (%d edges, want %d)", len(b.EdgePapers), len(a.EdgePapers))
+	}
+	if !maps.Equal(a.SlotVertex, b.SlotVertex) {
+		return fmt.Errorf("slot assignments differ (%d slots, want %d)", len(b.SlotVertex), len(a.SlotVertex))
+	}
+	return nil
 }
 
 // TestPinnedSnapshotMatchesReference is the differential pin of the
 // off-lock encoder: on every golden corpus, right after the fit and
 // after streamed batches, a snapshot encoded from the pinned view is
-// byte-identical to the reference writer's output. (The subtest names
-// keep their "shards=1" suffix from when a sharded layout existed.)
+// byte-identical to the encode of a View built afresh at that epoch,
+// and it loads back to the live GCN. (The subtest names keep their
+// "shards=1" suffix from when a sharded layout existed.)
 func TestPinnedSnapshotMatchesReference(t *testing.T) {
 	for ci, scfg := range equivSynthConfigs() {
 		scfg := scfg
@@ -256,21 +282,21 @@ func TestJournalCompactionCrashWindows(t *testing.T) {
 // while the base of E is still being encoded. Run under -race it is the
 // proof that the encoder reads nothing ingest writes; the reopen proves
 // base + chain reproduce the live state bit for bit; and the lock-hold
-// of a compaction stays O(1) — under 5 ms where walking the state (the
-// reference encode) costs over 20 ms.
+// of a compaction stays O(1) — under 5 ms where walking the state (a
+// full encode) costs over 20 ms.
 func TestJournalCompactionBesideWriters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fits a multi-thousand-paper corpus")
 	}
 	var (
-		d         *iuad.SyntheticDataset
-		svc       *iuad.Service
-		jdir      string
-		refEncode time.Duration
+		d          *iuad.SyntheticDataset
+		svc        *iuad.Service
+		jdir       string
+		fullEncode time.Duration
 	)
-	// Grow the corpus until the reference encode is over 20 ms (the
+	// Grow the corpus until a full encode is over 20 ms (the
 	// first size is enough under -race).
-	for _, authors := range []int{1000, 2500} {
+	for _, authors := range []int{1000, 2500, 6000, 12000} {
 		scfg := iuad.DefaultSyntheticConfig()
 		scfg.Seed = 5
 		scfg.Authors = authors
@@ -283,17 +309,17 @@ func TestJournalCompactionBesideWriters(t *testing.T) {
 			t.Fatal(err)
 		}
 		t0 := time.Now()
-		if err := core.SaveService(io.Discard, svc.Pipeline(), svc.Epoch()); err != nil {
+		if err := svc.Save(io.Discard); err != nil {
 			t.Fatal(err)
 		}
-		if refEncode = time.Since(t0); refEncode > 20*time.Millisecond {
+		if fullEncode = time.Since(t0); fullEncode > 20*time.Millisecond {
 			break
 		}
 		svc.Close()
 		svc = nil
 	}
 	if svc == nil {
-		t.Skipf("reference encode only %v on the largest corpus: no O(state) cost to compare against", refEncode)
+		t.Skipf("a full encode only %v on the largest corpus: no O(state) cost to compare against", fullEncode)
 	}
 	defer svc.Close()
 
@@ -345,9 +371,9 @@ func TestJournalCompactionBesideWriters(t *testing.T) {
 	if c := svc.Compaction(); c.Failures != 0 {
 		t.Fatalf("compaction failures: %+v", c)
 	}
-	t.Logf("reference encode %v, shortest lock hold %v, %d of 4 compactions had commits beside them", refEncode, minHeld, beside)
+	t.Logf("full encode %v, shortest lock hold %v, %d of 4 compactions had commits beside them", fullEncode, minHeld, beside)
 	if minHeld >= 5*time.Millisecond {
-		t.Fatalf("compaction held the write lock %v (reference encode %v): not O(1)", minHeld, refEncode)
+		t.Fatalf("compaction held the write lock %v (full encode %v): not O(1)", minHeld, fullEncode)
 	}
 
 	fp, epoch := surfaceFingerprint(t, svc), svc.Epoch()

@@ -625,8 +625,8 @@ func journalWithBase(t *testing.T, d *iuad.SyntheticDataset) string {
 			}
 		}
 	}
-	if v := baseVersion(t, iuad.JournalBasePath(jdir)); v != 1004 {
-		t.Fatalf("compacted base is version %d, want 1004", v)
+	if v := baseVersion(t, iuad.JournalBasePath(jdir)); v != 1005 {
+		t.Fatalf("compacted base is version %d, want 1005", v)
 	}
 	return copyJournalDir(t, jdir)
 }
@@ -661,7 +661,7 @@ func assertRefusedRetired(t *testing.T, name string, svc *iuad.Service, err erro
 func TestJournalRefuses1001Base(t *testing.T) {
 	dir := journalWithBase(t, serviceDataset(109))
 	base := iuad.JournalBasePath(dir)
-	// Rewrite the 1004 base as 1001: the same header and body, the
+	// Rewrite the 1005 base as 1001: the same header and body, the
 	// 2-byte version patched and the 4-byte CRC trailer cut.
 	b, err := os.ReadFile(base)
 	if err != nil {

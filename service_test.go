@@ -330,3 +330,37 @@ func TestNewServiceWrapsPipeline(t *testing.T) {
 		t.Fatal("NewService(nil) succeeded")
 	}
 }
+
+// TestNewServiceRefusesFitAndJournalOptions: NewService wraps a pipeline
+// that is already fitted, so it refuses, by name, an option that only a
+// fit or Open's journal recovery reads. Ignoring WithJournal would ack
+// batches that no journal holds, and a kill -9 would lose them.
+func TestNewServiceRefusesFitAndJournalOptions(t *testing.T) {
+	c := iuad.NewCorpus(0)
+	c.Freeze()
+	pl, err := iuad.Disambiguate(c, iuad.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		opt  iuad.Option
+	}{
+		{"WithConfig", iuad.WithConfig(iuad.DefaultConfig())},
+		{"WithJournal", iuad.WithJournal(dir)},
+		{"WithJournalConfig", iuad.WithJournalConfig(dir, iuad.JournalConfig{})},
+	} {
+		svc, err := iuad.NewService(pl, tc.opt)
+		if err == nil {
+			svc.Close()
+			t.Fatalf("NewService(pl, %s) succeeded", tc.name)
+		}
+		if !strings.Contains(err.Error(), tc.name) {
+			t.Fatalf("NewService(pl, %s) = %v, want an error naming the option", tc.name, err)
+		}
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("the refused journal directory holds %d entries (err %v)", len(ents), err)
+	}
+}

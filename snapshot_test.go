@@ -3,8 +3,10 @@ package iuad_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -151,31 +153,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if got, want := loaded.CalibratedDelta, live.CalibratedDelta; math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("CalibratedDelta %v vs %v", got, want)
 			}
-			if got, want := loaded.TrainingPairs, live.TrainingPairs; got != want {
-				t.Errorf("TrainingPairs %d vs %d", got, want)
+			if err := sameNetwork(live.GCN, loaded.GCN); err != nil {
+				t.Fatalf("GCN: %v", err)
 			}
-			for _, net := range []struct {
-				name         string
-				live, loaded *iuad.Network
-			}{{"SCN", live.SCN, loaded.SCN}, {"GCN", live.GCN, loaded.GCN}} {
-				if got, want := net.loaded.VertexCount(), net.live.VertexCount(); got != want {
-					t.Fatalf("%s verts %d vs %d", net.name, got, want)
-				}
-				if got, want := net.loaded.EdgeCount(), net.live.EdgeCount(); got != want {
-					t.Fatalf("%s edges %d vs %d", net.name, got, want)
-				}
-				if err := net.loaded.Validate(); err != nil {
-					t.Fatalf("%s: %v", net.name, err)
-				}
-			}
-			ss, ls := live.ScoredPairs(), loaded.ScoredPairs()
-			if len(ss) != len(ls) {
-				t.Fatalf("scored pairs %d vs %d", len(ls), len(ss))
-			}
-			for i := range ss {
-				if ss[i] != ls[i] {
-					t.Fatalf("scored pair %d: %+v vs %+v", i, ls[i], ss[i])
-				}
+			if err := loaded.GCN.Validate(); err != nil {
+				t.Fatalf("GCN: %v", err)
 			}
 			for i := range live.Model.Specs {
 				if live.Model.MatchedMean(i) != loaded.Model.MatchedMean(i) ||
@@ -386,5 +368,116 @@ func TestSnapshotCorruptBaseRefused(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// The base build eb57df5 wrote (version 1004, which also carried the
+// stage-1 SCN, TrainingPairs, the pair scores and the forced merges): an
+// 80-author synthetic corpus (seed 3, 4 communities, 350 papers) fitted
+// with Workers 1 and 8-dimensional embeddings over 2 epochs, then one
+// batch of two streamed papers bringing a new name and a new venue
+// (epoch 1). That build resolved its 742 slots, in paper then index
+// order, to authors whose IDs hash (slotHash) to base1004SlotHash.
+const (
+	base1004Path     = "testdata/base1004.snap"
+	base1004Epoch    = 1
+	base1004Slots    = 742
+	base1004SlotHash = "de8ad61dc3069aed"
+)
+
+// slotHash resolves every slot of every published paper, in paper then
+// index order, and returns the count and the FNV-64a of the author IDs
+// (each a little-endian uint64).
+func slotHash(t *testing.T, svc *iuad.Service) (int, string) {
+	t.Helper()
+	h := fnv.New64a()
+	slots := 0
+	for pid := 0; pid < svc.Stats().Papers; pid++ {
+		p, err := svc.Paper(iuad.PaperID(pid))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range p.Authors {
+			a, err := svc.ResolveSlot(iuad.Slot{Paper: iuad.PaperID(pid), Index: i})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(binary.LittleEndian.AppendUint64(nil, uint64(a.ID)))
+			slots++
+		}
+	}
+	return slots, fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestBaseUpgradesFrom1004 opens a version-1004 base, as a snapshot file
+// and as a journal's base, with no corpus to refit from. Every slot
+// resolves as the build that wrote it resolved it, Close leaves a
+// version-1005 base, and that base serves the same surface again.
+func TestBaseUpgradesFrom1004(t *testing.T) {
+	fixture, err := os.ReadFile(base1004Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := baseVersion(t, base1004Path); v != 1004 {
+		t.Fatalf("%s is version %d, want 1004", base1004Path, v)
+	}
+	snap := filepath.Join(t.TempDir(), "base.snap")
+	jdir := t.TempDir()
+	for _, tc := range []struct {
+		name, path string
+		opt        iuad.Option
+	}{
+		{"WithSnapshot", snap, iuad.WithSnapshot(snap)},
+		{"WithJournal", iuad.JournalBasePath(jdir), iuad.WithJournal(jdir)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := os.WriteFile(tc.path, fixture, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var fp string
+			for _, phase := range []string{"1004", "upgraded"} {
+				svc, err := iuad.Open(nil, tc.opt)
+				if err != nil {
+					t.Fatalf("%s: %v", phase, err)
+				}
+				if slots, h := slotHash(t, svc); slots != base1004Slots || h != base1004SlotHash {
+					t.Fatalf("%s: %d slots hash %s, want %d hashing %s", phase, slots, h, base1004Slots, base1004SlotHash)
+				}
+				if svc.Epoch() != base1004Epoch {
+					t.Fatalf("%s: epoch %d, want %d", phase, svc.Epoch(), base1004Epoch)
+				}
+				if got := surfaceFingerprint(t, svc); fp == "" {
+					fp = got
+				} else if got != fp {
+					t.Fatalf("%s: the upgraded base serves another surface", phase)
+				}
+				if err := svc.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if v := baseVersion(t, tc.path); v != 1005 {
+					t.Fatalf("%s: Close left version %d, want 1005", phase, v)
+				}
+			}
+		})
+	}
+}
+
+// TestOpenLeavesNoFitState: a service Open fits serves from the state a
+// base load would give it. The SCN, the pair scores and the training
+// count are gone, and RemergeAt returns nil instead of panicking.
+func TestOpenLeavesNoFitState(t *testing.T) {
+	d := serviceDataset(5)
+	svc, err := iuad.Open(d.Corpus, iuad.WithConfig(equivCoreConfig(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	pl := svc.Pipeline()
+	if pl.SCN != nil || pl.ScoredPairs() != nil || pl.TrainingPairs != 0 {
+		t.Fatalf("a fitted service holds fit-only state: SCN %v, %d scored pairs, %d training pairs",
+			pl.SCN != nil, len(pl.ScoredPairs()), pl.TrainingPairs)
+	}
+	if net := pl.RemergeAt(0); net != nil {
+		t.Fatalf("RemergeAt on a served pipeline built %d vertices, want nil", net.VertexCount())
 	}
 }
